@@ -58,10 +58,12 @@ compared against the *committed* ``BENCH_fft_speed.json`` (which is then
 left untouched) and the run fails when any tracked speedup ratio collapsed
 by more than ``REPRO_BENCH_CHECK_TOLERANCE`` (default 2.5x) - generous
 enough for machine noise across CI hosts, tight enough that "the compiled
-path silently lost its advantage" fails the PR instead of shipping.
-``--check`` also enforces the *absolute* fused-protection budget on the
-committed reference (``protected_over_compiled_ratio`` at most 2x
-everywhere and at most 1.5x from 2^16 up): a regenerated reference that
+path silently lost its advantage" fails the PR instead of shipping.  A
+run whose sizes are all absent from the committed reference fails too: a
+gate that compares nothing must not pass.  ``--check`` also enforces the
+*absolute* fused-protection budget on the committed reference
+(``protected_over_compiled_ratio`` at most 2x everywhere and at most 1.5x
+from 2^16 up): a regenerated reference that
 busts the paper's low-overhead claim fails every subsequent CI run, and
 the regenerate path refuses to bless such numbers in the first place.
 
@@ -464,6 +466,13 @@ def run_check() -> int:
     check(payload)
     compared = [r["n"] for r in payload["results"]
                 if any(ref["n"] == r["n"] for ref in reference.get("results", []))]
+    if not compared:
+        print(
+            "\nbenchmark regression gate FAILED: no measured size "
+            f"{[r['n'] for r in payload['results']]} is in the committed "
+            f"reference {JSON_PATH.name}"
+        )
+        return 1
     regressions = check_against_reference(payload, reference, tolerance)
     if regressions:
         print("\nbenchmark regression gate FAILED:")

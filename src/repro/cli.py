@@ -29,10 +29,10 @@ repro.cli <command>``:
     ``--prometheus`` text exposition (byte-identical to the serve
     daemon's ``/metrics`` endpoint).
 ``serve``
-    Run the always-on transform daemon: micro-batch concurrent requests
-    into ``execute_many`` windows, keep plans and wisdom warm, expose
-    ``/healthz`` / ``/stats`` / ``/metrics``, drain gracefully on
-    SIGTERM.  See ``docs/serving.md``.
+    Run the always-on transform daemon: micro-batch the requests that
+    queue behind a busy worker into ``execute_many`` calls, keep plans
+    and wisdom warm, expose ``/healthz`` / ``/stats`` / ``/metrics``,
+    drain gracefully on SIGTERM.  See ``docs/serving.md``.
 ``submit``
     Send one signal (or ``--repeat`` copies) to a running daemon and
     print the per-row fault-tolerance summary.
@@ -659,11 +659,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--window-ms", type=float, default=0.0, metavar="MS",
         help="micro-batch window: how long the first request of a "
-             "(n, config) group waits for peers.  The default 0 batches "
-             "opportunistically - everything already queued when the event "
-             "loop goes idle coalesces, adding no latency; a positive "
-             "window holds the batch open on a timer (useful for sparse "
-             "open-loop traffic, but it stalls closed-loop clients)",
+             "(n, config) group waits for peers.  The default 0 is "
+             "work-conserving - a request dispatches on arrival when a "
+             "worker is free, and requests that arrive while every worker "
+             "is busy coalesce into one batch for the next free worker, "
+             "adding no timer; a positive window holds the batch open on "
+             "a timer (useful for sparse open-loop traffic, but it stalls "
+             "closed-loop clients)",
     )
     serve.add_argument(
         "--max-batch", type=int, default=32, metavar="B",

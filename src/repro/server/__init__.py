@@ -1,9 +1,10 @@
 """Always-on transform serving: micro-batching daemon over the plan cache.
 
 ``repro serve`` runs :class:`TransformServer`: an asyncio HTTP/1.1 daemon
-(localhost TCP and/or a unix socket, stdlib only) that groups concurrent
-same-``(n, config)`` transform requests inside a short micro-batch window
-and executes each group through one chunk-parallel
+(localhost TCP and/or a unix socket, stdlib only) that dispatches a
+transform request on arrival when a worker is free, groups the
+same-``(n, config)`` requests that queue behind a busy worker, and
+executes each group through one chunk-parallel
 :meth:`repro.core.ftplan.FTPlan.execute_many` call - the amortized
 threshold statistics and per-worker ABFT verification of the batched
 library path, turned into sustained multi-client throughput.  See

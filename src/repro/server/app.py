@@ -18,10 +18,11 @@ socket.  Endpoints:
     :func:`repro.telemetry.prometheus_exposition`).
 
 Connections are keep-alive and serve requests sequentially; concurrency
-comes from many connections, which is also what makes the micro-batch
-window fill up.  Every observability endpoint counts itself *before*
-rendering, so a scrape's body already includes that scrape - and a
-quiesced process renders the same bytes from the CLI afterwards.
+comes from many connections, which is also what queues rows behind a busy
+worker and so grows the micro-batches.  Every observability endpoint
+counts itself *before* rendering, so a scrape's body already includes
+that scrape - and a quiesced process renders the same bytes from the CLI
+afterwards.
 
 Graceful drain: SIGTERM (via :meth:`TransformServer.request_shutdown`)
 stops accepting connections, answers new transforms with 503, lets queued
@@ -118,10 +119,6 @@ class TransformServer:
             window=self.window,
             max_batch=self.max_batch,
             workers=self.workers,
-            # Zero-window batching target: open connections bound how many
-            # requests can be in flight, so a group that reaches this count
-            # flushes without waiting for its grace timer.
-            peers=lambda: self._connections,
         )
         # A transform frame at n=4096 is ~64 KiB; asyncio's default 64 KiB
         # stream limit makes readexactly drain it in watermark-sized nibbles

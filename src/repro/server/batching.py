@@ -1,50 +1,50 @@
 """Micro-batch scheduler: same-``(n, config)`` requests share one ``execute_many``.
 
-Concurrent clients rarely arrive at the same instant, but they do arrive
-within a few hundred microseconds of each other under load.  Every row of
-the same ``(n, canonical config)`` key that lands inside one batching
-window joins one group, and the group executes as a single
+Every row of the same ``(n, canonical config)`` key that waits for a
+worker joins one group, and the group executes as a single
 :meth:`repro.core.ftplan.FTPlan.execute_many` call on a worker thread.
 That is the whole point of serving through the plan cache: the batched
 path samples the robust threshold statistics once per batch, runs one
 matmul per checksum vector, and verifies per worker chunk - overheads
 that a one-request-per-``execute`` front end pays per request.
 
-``window=0`` (the default) is *connection-aware opportunistic* batching:
-the number of open connections bounds how many requests can possibly be
-in flight, so the first request of a group sets
-``target = min(open connections, max_batch)`` and the group flushes the
-moment it holds ``target`` rows - the full concurrent burst coalesces
-with zero added latency.  A short grace timer (:data:`Batcher.IDLE_GRACE`,
-re-armed while the group keeps growing) bounds the wait when some
-connections are idle and the target is never reached; a lone connection
-(``target == 1``) dispatches synchronously on arrival.  A positive
+``window=0`` (the default) is *work-conserving* batching.  A request
+that finds a worker free dispatches on arrival, alone, with no timer.  A
+request that finds every worker busy joins its key's waiting group.  Each
+time a batch finishes - with a result, an exception or a cancellation -
+the oldest waiting group goes to the freed worker.  Batches are therefore
+exactly as large as the backlog that built up behind the previous one:
+one row at light load, many under saturation, and no request ever waits
+while a worker idles.  ``max_batch`` caps a group: a full group dispatches
+at once and queues on the pool behind the busy workers.  A positive
 ``window`` instead holds every group open for exactly that long - larger
 batches under sparse open-loop traffic, but closed-loop clients stall on
 the timer (throughput caps at ``max_batch / window``).
 
 Threading model
 ---------------
-``append_request`` and ``_flush`` run on the event-loop thread only, so
-the group table needs no lock.  Execution happens on a small
-``ThreadPoolExecutor`` (numpy releases the GIL inside the kernels);
-results come back to the loop via ``asyncio.wrap_future`` and resolve the
-per-request futures there.  A client that disconnects mid-batch simply
-leaves a future nobody awaits - the batch itself is unaffected.
+``append_request``, ``_flush`` and the batch-done callback run on the
+event-loop thread only, so the group table and the in-flight set need no
+lock.  Execution happens on a small ``ThreadPoolExecutor`` (numpy
+releases the GIL inside the kernels); results come back to the loop via
+``asyncio.wrap_future`` and resolve the per-request futures there.  A
+client that disconnects mid-batch simply leaves a future nobody awaits -
+the batch itself is unaffected.
 
 Fault-injection requests bypass batching: interior fault sites only fire
 in the scalar :meth:`FTPlan.execute` path (the batched path deliberately
 visits INPUT/OUTPUT only), so routing them solo mirrors the library's own
-semantics.  ``max_batch=1`` degenerates to one-``execute``-per-request,
-which is exactly the baseline mode ``benchmarks/bench_serve.py`` measures
-batching against.
+semantics; a solo job still occupies a worker while it runs.
+``max_batch=1`` degenerates to one-``execute``-per-request, which is
+exactly the baseline mode ``benchmarks/bench_serve.py`` measures batching
+against.
 """
 
 from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -61,31 +61,18 @@ GroupKey = Tuple[int, str]
 
 
 class _Group:
-    """Rows of one ``(n, config)`` key waiting for the window to close."""
+    """Rows of one ``(n, config)`` key waiting for a worker (or the window)."""
 
-    __slots__ = ("rows", "futures", "handle", "seen", "target")
+    __slots__ = ("rows", "futures", "handle")
 
     def __init__(self) -> None:
         self.rows: List[np.ndarray] = []
         self.futures: List["asyncio.Future[Reply]"] = []
         self.handle: Optional[asyncio.TimerHandle] = None
-        #: zero-window bookkeeping: rows counted when the grace timer was
-        #: last armed, and the burst size that flushes without waiting
-        #: (``min(open connections, max_batch)`` at group creation).
-        self.seen = 0
-        self.target = 1
 
 
 class Batcher:
     """Group requests into micro-batches and run them on a worker pool."""
-
-    #: zero-window straggler grace (seconds): how long a group short of its
-    #: connection-count target waits for another arrival before flushing
-    #: anyway.  Re-armed on growth, so it bounds the quiet time after the
-    #: *last* arrival, not the total wait from the first - a full burst
-    #: never waits at all (the target trigger flushes it synchronously),
-    #: so this only prices the idle-connection case.
-    IDLE_GRACE = 500e-6
 
     def __init__(
         self,
@@ -94,18 +81,16 @@ class Batcher:
         window: float = 0.0,
         max_batch: int = 32,
         workers: int = 1,
-        peers: Optional[Callable[[], int]] = None,
     ) -> None:
         self._loop = loop
         self._window = max(0.0, float(window))
         self._max_batch = max(1, int(max_batch))
-        #: how many requests could currently be in flight - the server
-        #: passes its open-connection count; standalone use defaults to 1
-        #: (every request dispatches on arrival).
-        self._peers: Callable[[], int] = peers if peers is not None else (lambda: 1)
+        self._workers = max(1, int(workers))
         self._executor = ThreadPoolExecutor(
-            max_workers=max(1, int(workers)), thread_name_prefix="repro-serve"
+            max_workers=self._workers, thread_name_prefix="repro-serve"
         )
+        #: waiting groups in arrival order (a flush pops its key, so the
+        #: first entry is always the oldest group)
         self._groups: Dict[GroupKey, _Group] = {}
         self._inflight: Set["asyncio.Future[List[Reply]]"] = set()
         self._closed = False
@@ -132,10 +117,9 @@ class Batcher:
         """Queue one request row; the future resolves to its reply.
 
         Hot per-request path between the frame parse and the flush trigger:
-        one dict lookup and two list appends.  The first row of a group
-        arms the flush (the ``window`` timer, or the zero-window
-        connection-count target plus grace timer); filling the target or
-        ``max_batch`` flushes immediately.
+        one dict lookup and two list appends.  At ``window=0`` the group
+        flushes at once if a worker is free; a positive ``window`` arms the
+        group's timer instead.  Reaching ``max_batch`` flushes immediately.
         """
 
         fut: "asyncio.Future[Reply]" = self._loop.create_future()
@@ -154,51 +138,22 @@ class Batcher:
             self._groups[key] = group
             if self._window > 0.0:
                 group.handle = self._loop.call_later(self._window, self._flush, key)
-            else:
-                group.target = min(max(1, self._peers()), self._max_batch)
-                if group.target > 1:
-                    group.seen = 1
-                    group.handle = self._loop.call_later(
-                        self.IDLE_GRACE, self._idle_flush, key, group
-                    )
         group.rows.append(row)
         group.futures.append(fut)
-        size = len(group.rows)
-        if size >= self._max_batch or (self._window == 0.0 and size >= group.target):
+        if len(group.rows) >= self._max_batch or self._worker_free():
             self._flush(key)
         return fut
 
     # -- flushing and delivery (loop thread) ---------------------------
-    def _idle_flush(self, key: GroupKey, group: _Group) -> None:
-        """Grace-timer expiry for a zero-window group short of its target.
+    def _worker_free(self) -> bool:
+        """Whether a zero-window group may dispatch now (work conservation)."""
 
-        The group was created while ``target > 1`` other connections were
-        open, so peers *may* still deliver rows; reaching the target (or
-        ``max_batch``) flushes synchronously in :meth:`append_request` and
-        this timer never fires.  When it does fire, the group grew by
-        fewer rows than the connection count promised: if it grew at all
-        during the last grace period the stragglers get one more
-        (re-armed) timer, otherwise the burst is over and the batch runs
-        with what it has.  The timer also matters for scheduling: a loop
-        parked in ``poll`` yields the GIL/CPU to the client threads whose
-        requests are still being written.
-        """
-
-        if self._groups.get(key) is not group:
-            return  # flushed by the target/max-batch trigger (or a new round)
-        size = len(group.rows)
-        if size > group.seen:
-            group.seen = size
-            group.handle = self._loop.call_later(
-                self.IDLE_GRACE, self._idle_flush, key, group
-            )
-            return
-        self._flush(key)
+        return self._window == 0.0 and len(self._inflight) < self._workers
 
     def _flush(self, key: GroupKey) -> None:
         group = self._groups.pop(key, None)
         if group is None:
-            return  # already flushed by the max-batch trigger
+            return  # already flushed by the max-batch or worker-free trigger
         if group.handle is not None:
             group.handle.cancel()
         self._dispatch(_BatchJob(key, group.rows), group.futures)
@@ -216,6 +171,11 @@ class Batcher:
 
         def deliver(done: "asyncio.Future[List[Reply]]") -> None:
             self._inflight.discard(done)
+            # The freed worker takes the oldest waiting group before any
+            # outcome is routed, so a failed or cancelled batch never
+            # strands the rows queued behind it.
+            if self._groups and self._worker_free():
+                self._flush(next(iter(self._groups)))
             if done.cancelled():
                 self._fail(
                     futures, ProtocolError("batch cancelled", status=503, kind="draining")
