@@ -25,13 +25,21 @@ vectors and exposes three execution entry points:
     The protected inverse via the conjugation identity, so the same coverage
     applies in both directions.
 ``execute_many(X, axis=-1)``
-    Batched execution.  The whole batch moves through the two-layer pipeline
-    as one 3-D array (no per-row Python loop) and protection is *vectorized*:
-    per-row end-to-end checksums are generated with one matrix-vector
-    product, verified with one residual comparison, and only rows whose
-    verification fails drop into the scalar recovery path (memory repair via
-    the locating checksum pair, then re-execution under the fully protected
-    scheme).
+    Batched execution.  The whole batch is transformed as one array with the
+    plan's compiled stage program (the backend's batched ``fft`` on foreign
+    backends) and protection is *vectorized*: per-row end-to-end checksums
+    are generated with one matrix product and verified with one residual
+    comparison.  Only rows whose verification fails drop into per-row
+    recovery: memory repair of the input row via the locating checksum pair,
+    then recomputation of that row with the same transform, re-verified
+    against the row's encode-time checksum.  The overwrite form (``out=``)
+    repairs a flagged row from its checksum-carried surrogate instead.
+
+Every protected path the plan runs itself shares one engine: one encode
+step for the reference checksums, one input-side memory repair, and one
+retry driver granting ``max(1, max_retries)`` corrective attempts
+(:meth:`FTPlan._retry`).  A live injector on single-vector ``execute``
+runs the paper-exact scheme instead.
 
 With ``FTConfig.threads`` above 1, fault-free batches additionally run
 *chunk-parallel* on the process-wide worker pool (:mod:`repro.runtime`):
@@ -47,8 +55,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -111,6 +120,40 @@ class BatchResult:
         return self.report.has_uncorrectable
 
 
+@dataclass
+class _Refs:
+    """Encode-time references of one vector, or per row of a batch (:meth:`row` picks one).
+
+    The end-to-end checksum ``cx`` and its threshold ``eta``; with memory
+    fault tolerance the locating pair ``w``, its sums ``s1``/``s2`` and
+    threshold ``eta_mem``; on the overwrite paths the carried surrogate
+    ``S1``/``S2`` (``w . X`` of the not-yet-computed output) over the
+    output-side pair ``Sw``.
+    """
+
+    cx: Any
+    eta: Any
+    w: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    s1: Any = None
+    s2: Any = None
+    eta_mem: Any = None
+    Sw: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    S1: Any = None
+    S2: Any = None
+
+    def row(self, i: int) -> "_Refs":
+        s1, s2, eta_mem, S1, S2 = (
+            None if v is None else v[i] for v in (self.s1, self.s2, self.eta_mem, self.S1, self.S2)
+        )
+        return _Refs(self.cx[i], self.eta[i], self.w, s1, s2, eta_mem, self.Sw, S1, S2)
+
+
+def _where(site: str, index: Optional[int]) -> str:
+    """A report label: the site, plus the batch row when there is one."""
+
+    return site if index is None else f"{site} row {index}"
+
+
 # ----------------------------------------------------------------------
 # the plan
 # ----------------------------------------------------------------------
@@ -157,6 +200,10 @@ class FTPlan:
             self._w2 = self.constants.w2_n
             self._hc_a = self.constants.hc_a
             self._hc_b = self.constants.hc_b
+            # Threshold derivations, pre-bound at plan time (bit-identical
+            # to eta_offline / eta_memory, see ThresholdPolicy).
+            self._eta = self.thresholds.offline_threshold_fn(self.n)
+            self._eta_memory = self.thresholds.memory_threshold_fn(self.n)
         # Compiled real program (fftlib backend): fetched from the shared
         # program LRU at plan time, so real execution pays no lowering cost.
         self._real_program = None
@@ -191,8 +238,6 @@ class FTPlan:
         #: ``execute``/``inverse``.  Live injectors always take the
         #: paper-exact scheme path.
         self._fused_program = None
-        self._fused_eta = None
-        self._fused_eta_memory = None
         if not self._real and self.backend == "fftlib":
             from repro.fftlib.executor import get_program
 
@@ -207,10 +252,6 @@ class FTPlan:
                 self._fused_program = get_protected_program(
                     self.n, optimized=config.optimized, memory_ft=config.memory_ft
                 )
-                # Threshold derivations, pre-bound at plan time (bit-identical
-                # to eta_offline / eta_memory, see ThresholdPolicy).
-                self._fused_eta = self.thresholds.offline_threshold_fn(self.n)
-                self._fused_eta_memory = self.thresholds.memory_threshold_fn(self.n)
                 # MEASURE-mode planners time fused-vs-scheme once per size
                 # and remember the winner in wisdom; ESTIMATE trusts the
                 # fused lowering (it wraps the fastest compiled program).
@@ -221,8 +262,8 @@ class FTPlan:
                 ):
                     self._fused_program = None
         # Recovery retry budget: explicit flags win; otherwise inherit the
-        # built scheme's own effective default so execute() and
-        # execute_many() agree on what "uncorrectable" means.
+        # built scheme's own default.  Every entry point then grants
+        # max(1, max_retries) corrective attempts (see _retry).
         flags = config.flags
         if flags is not None:
             self._max_retries = int(flags.max_retries)
@@ -272,21 +313,16 @@ class FTPlan:
         ``out`` selects the overwrite path (Section 5 of the paper): the
         result is written into the given buffer, which for complex plans
         may be ``x`` itself - the transform then runs genuinely in place
-        (Stockham lowering, one half-size scratch) and the input is
-        *destroyed*.  Verification still works because the checksums
-        encoded before the transform carry an input surrogate: with memory
-        fault tolerance the locating pair is re-encoded onto the output
-        side (``w . X = (F w) . x``), so a detected single-element
-        corruption of the overwritten buffer is located and repaired
-        without the input; without memory FT a detected violation is
-        honestly uncorrectable.  Like the batched path, the overwrite path
-        visits only the INPUT/OUTPUT fault sites - use the out-of-place
-        ``execute`` to exercise stage-interior sites.
+        and the input is *destroyed*.  The checksums encoded before the
+        transform carry an input surrogate: with memory fault tolerance the
+        locating pair is re-encoded onto the output side
+        (``w . X = (F w) . x``), so a single corrupted element of the
+        overwritten buffer is located and repaired without the input;
+        without memory FT a detected violation is honestly uncorrectable.
+        The overwrite path visits only the INPUT/OUTPUT fault sites.
         """
 
         if out is not None:
-            if self._real:
-                return self._execute_real_out(x, injector, out)
             return self._execute_out(x, injector, out)
         if self._real:
             return self._execute_real(x, injector)
@@ -338,22 +374,183 @@ class FTPlan:
         )
 
     # ------------------------------------------------------------------
+    # the protected execution engine: encode -> attempt -> fix -> retry
+    # ------------------------------------------------------------------
+    def _encode(
+        self,
+        x: np.ndarray,
+        *,
+        cx: Any = None,
+        w: Optional[Tuple[np.ndarray, np.ndarray, float]] = None,
+        surrogate: bool = False,
+    ) -> _Refs:
+        """The one encode step: references for ``x`` (1-D) or each row of ``x`` (2-D).
+
+        The data scale is sampled once and shared by every threshold; the
+        thresholds come from the plan-time closures (one vector) or their
+        vectorized batch forms, all bit-identical to the per-call
+        :class:`ThresholdPolicy` formulas.  ``cx`` passes an end-to-end
+        checksum the caller already holds (the fused program's final tap
+        reference, the real inverse's spectrum-side fold); ``w`` overrides
+        the input locating pair ``(w1, w2, rms(w1))``; ``surrogate`` adds the
+        overwrite paths' carried surrogate.
+        """
+
+        th = self.thresholds
+        if x.ndim == 2:
+            sigma = th.component_sigma_rows(x)
+            eta = th.eta_offline_batch(self.n, x, sigma0=sigma)
+            errstate: Any = nullcontext()
+        else:
+            x_rms = th.magnitude_rms(x)
+            eta = self._eta(float(x_rms / np.sqrt(2.0)))
+            # Same suppressed-overflow contract as weighted_sum (x @ w equals
+            # np.dot(w, x) bit for bit), one errstate entry for every
+            # checksum; the per-call cost is kept off the batch encode.
+            errstate = np.errstate(over="ignore", invalid="ignore")
+        with errstate:
+            refs = _Refs(x @ self._c if cx is None else cx, eta)
+            if not self.config.memory_ft:
+                return refs
+            w1, w2, w_rms = w or (self._w1, self._w2, self.constants.w1_n_rms)
+            refs.w = (w1, w2)
+            # With the optimized scheme w1 *is* the rA encoding, so the first
+            # locating checksum is the input checksum already in hand.
+            refs.s1 = refs.cx if w1 is self._c else x @ w1
+            refs.s2 = x @ w2
+            if surrogate:
+                # The carried surrogate: these sums ARE w . X of the
+                # not-yet-computed output (packed pair for real plans).
+                consts = self._inplace_constants()
+                if self._real:
+                    f1, f2, refs.Sw = consts.fp1_h, consts.fp2_h, (consts.p1_h, consts.p2_h)
+                else:
+                    f1, f2, refs.Sw = consts.fw1_n, consts.fw2_n, (w1, w2)
+                if f1 is not None:
+                    refs.S1, refs.S2 = x @ f1, x @ f2
+        if x.ndim == 2:
+            refs.eta_mem = th.eta_memory_batch(w1, x, weight_rms=w_rms, sigma0=sigma)
+        else:
+            eta_memory = self._eta_memory if w is None else th.memory_threshold_fn(w1.size)
+            refs.eta_mem = eta_memory(w_rms, x_rms)
+        return refs
+
+    def _repair_memory(
+        self, x: np.ndarray, refs: _Refs, report: FTReport, site: str, index: Optional[int] = None
+    ) -> Optional[bool]:
+        """The one input-side repair: memory-verify ``x``, fix one located element in place.
+
+        ``None`` when the check passes (or the plan has no memory fault
+        tolerance), ``True`` after a repair, ``False`` when the corruption
+        could not be located (recorded uncorrectable).
+        """
+
+        if refs.w is None:
+            return None
+        w1, w2 = refs.w
+        residual = float(np.abs(weighted_sum(w1, x) - refs.s1))
+        if not residual_exceeds(residual, refs.eta_mem):
+            return None
+        report.record_verification(f"{site}-mcv", index, residual, refs.eta_mem, True)
+        repaired = repair_single_error(x, w1, w2, refs.s1, refs.s2)
+        if repaired is None:
+            report.record_uncorrectable(
+                f"{_where(site, index)}: input corruption could not be located"
+            )
+            return False
+        report.record_correction(
+            "memory-correct", f"{site}-input", index, f"element {repaired[0]} repaired"
+        )
+        return True
+
+    def _repair_output(
+        self, buf: np.ndarray, refs: _Refs, report: FTReport, site: str, index: Optional[int] = None
+    ) -> bool:
+        """The surrogate repair: fix one located element of an overwritten buffer.
+
+        The carried sums ``S1``/``S2`` were encoded from the (destroyed)
+        input.  ``False`` when no surrogate exists or location fails: the
+        overwrite path has nothing left to recompute from.
+        """
+
+        repaired = None
+        if refs.S1 is not None and refs.Sw is not None:
+            repaired = repair_single_error(buf, *refs.Sw, refs.S1, refs.S2)
+        if repaired is None:
+            why = (
+                "could not be located"
+                if refs.S1 is not None
+                else "has no locating surrogate (the plan has no memory fault tolerance)"
+            )
+            report.record_uncorrectable(f"{_where(site, index)}: overwritten buffer {why}")
+            return False
+        detail = f"element {repaired[0]} repaired from the carried surrogate"
+        report.record_correction("memory-correct", site, index, detail)
+        return True
+
+    def _retry(
+        self,
+        attempt: Callable[[], Any],
+        fix: Callable[[Any], bool],
+        report: FTReport,
+        label: str,
+        failed: Any = None,
+    ) -> bool:
+        """The one verify-repair-retry loop; returns whether the last attempt verified clean.
+
+        ``attempt()`` runs (or re-verifies) the protected computation and
+        returns a falsy value when every check passes, else a token naming
+        the violated check.  ``fix(token)`` corrects what it can (input
+        repair and restart, row recompute, surrogate repair) and returns
+        ``False`` when nothing can be done, having recorded why.  ``failed``
+        seeds a violation the caller already detected.  Every entry point
+        grants ``max(1, max_retries)`` corrective attempts - the online
+        schemes' rule - so ``max_retries=0`` still allows one.
+        """
+
+        budget = max(1, self._max_retries)
+        if failed is None:
+            failed = attempt()
+        rounds = 0
+        while failed:
+            if rounds == budget:
+                report.record_uncorrectable(
+                    f"{label}: verification still failing after {budget} corrective attempts"
+                )
+                return False
+            if not fix(failed):
+                return False
+            rounds += 1
+            failed = attempt()
+        return True
+
+    def _verify_in_place(
+        self, buf: np.ndarray, refs: _Refs, report: FTReport, site: str, index: Optional[int] = None
+    ) -> Callable[[], bool]:
+        """An ``attempt`` re-verifying ``buf`` against its encode-time ``cx``/``eta``."""
+
+        def attempt() -> bool:
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual = float(np.abs(self._output_checksum(buf) - refs.cx))
+            detected = bool(residual_exceeds(residual, refs.eta))
+            report.record_verification(site, index, residual, refs.eta, detected)
+            return detected
+
+        return attempt
+
+    # ------------------------------------------------------------------
     # fused protected execution (fault-free fast path)
     # ------------------------------------------------------------------
     def _execute_fused(self, x: np.ndarray) -> SchemeResult:
         """One vector through the fused protected program.
 
-        Protection compiled into the transform: the reference checksums for
-        every tap come from one :meth:`ProtectedStageProgram.encode` pass
-        (telescoping folds, ~2n complex ops), the transform itself is the
-        compiled stage program with per-stage tap reductions interleaved,
-        and all verification operators were frozen at plan time.  The
-        spectrum is bit-identical to the unprotected compiled transform;
-        the end-to-end check (``taps[-1]`` vs ``c . x``) is the paper's
-        offline verification with the exact thresholds the legacy scheme
-        uses.  Detected violations follow the same discipline as
-        :meth:`_protected_rfft`: memory-verify and repair the input via the
-        locating pair, then restart, up to the retry budget.
+        Protection compiled into the transform: one
+        :meth:`ProtectedStageProgram.encode` pass yields every tap's
+        reference, and the compiled stage program interleaves the per-stage
+        tap reductions.  The spectrum is bit-identical to the unprotected
+        compiled transform; the end-to-end tap is the paper's offline check
+        with the legacy scheme's exact thresholds.  A violation repairs the
+        input via the locating pair, then restarts.
         """
 
         prog = self._fused_program
@@ -361,105 +558,60 @@ class FTPlan:
         x = as_complex_vector(x, name="x")
         if x.size != self.n:
             raise ValueError(f"input has length {x.size}, expected {self.n}")
-        # The input is only copied if a repair must mutate it (fault-free
-        # runs never pay for the legacy path's defensive copy).
-        private = x is not original
         report = FTReport(scheme=self.scheme.name)
-        thresholds = self.thresholds
-        memory = self.config.memory_ft
-
-        refs = prog.encode(x)
-        cx = complex(refs[-1])
-        x_rms = thresholds.magnitude_rms(x)
-        sigma0 = float(x_rms / np.sqrt(2.0))
-        eta = self._fused_eta(sigma0)
-        if memory:
-            # With the optimized scheme w1 *is* the rA encoding, so the
-            # first locating checksum is the input checksum already in hand.
-            # Same np.dot / suppressed-overflow contract as weighted_sum,
-            # one errstate entry for both checksums.
-            with np.errstate(over="ignore", invalid="ignore"):
-                s1 = cx if prog.reuse_input_checksum else complex(np.dot(self._w1, x))
-                s2 = complex(np.dot(self._w2, x))
-            eta_mem = self._fused_eta_memory(self.constants.w1_n_rms, x_rms)
+        tap_refs = prog.encode(x)
+        refs = self._encode(x, cx=complex(tap_refs[-1]))
         report.bump("checksum-generations", 1)
-
-        def _repair_input() -> bool:
-            """Memory-verify ``x``, repair a located corruption, re-encode.
-
-            Returns ``False`` only when corruption was detected but could
-            not be located (uncorrectable).  Mirrors the discipline of
-            :meth:`_protected_rfft`.
-            """
-
-            nonlocal x, private, refs, cx, s1
-            if not memory:
-                return True
-            mem_residual = float(np.abs(weighted_sum(self._w1, x) - s1))
-            if residual_exceeds(mem_residual, eta_mem):
-                report.record_verification("fused-mcv", None, mem_residual, eta_mem, True)
-                if not private:
-                    x = x.copy()
-                    private = True
-                repaired = repair_single_error(x, self._w1, self._w2, s1, s2)
-                if repaired is None:
-                    report.record_uncorrectable(
-                        "fused: input corruption could not be located"
-                    )
-                    return False
-                report.record_correction(
-                    "memory-correct", "fused-input", None,
-                    f"element {repaired[0]} repaired",
-                )
-                # The tap references were encoded from the pre-repair data
-                # and would otherwise flag every subsequent (correct) run.
-                refs = prog.encode(x)
-                cx = complex(refs[-1])
-                if prog.reuse_input_checksum:
-                    s1 = cx
-            return True
-
-        attempts = 0
+        output = x
         single_tap = len(prog.taps) == 1
-        while True:
-            attempts += 1
+
+        def attempt() -> bool:
+            nonlocal output
             output, taps = prog.execute_tapped(x)
-            report.bump("verifications", len(prog.taps))
+            report.bump("verifications", len(taps))
             if single_tap:
                 # Scalar path: a Python float comparison with the same
                 # NaN-is-violation semantics as residual_exceeds.
-                final_residual = float(np.abs(taps[0] - refs[0]))
-                detected = not final_residual <= eta
-                report.record_verification(
-                    "fused-ccv", None, final_residual, eta, detected
-                )
-            else:
-                residuals = np.abs(taps - refs)
-                violations = residual_exceeds(residuals, eta)
-                detected = bool(violations.any())
-                report.record_verification(
-                    "fused-ccv", None, float(residuals[-1]), eta, bool(violations[-1])
-                )
-                if detected and not bool(violations[-1]):
-                    # Interior-only violation: the earliest flagged tap names
-                    # the first corrupted stage.
-                    stage = int(np.nonzero(violations)[0][0])
-                    report.record_verification(
-                        "fused-interior-ccv", stage, float(residuals[stage]), eta, True
-                    )
-            if not detected:
-                break
-            if not _repair_input():
-                break
-            if attempts > self._max_retries:
-                report.record_uncorrectable(
-                    f"fused: verification still failing after "
-                    f"{self._max_retries} restarts"
-                )
-                break
-            report.record_correction(
-                "restart", "fused", None, "fused transform recomputed"
+                residual = float(np.abs(taps[0] - tap_refs[0]))
+                detected = not residual <= refs.eta
+                report.record_verification("fused-ccv", None, residual, refs.eta, detected)
+                return detected
+            residuals = np.abs(taps - tap_refs)
+            violations = residual_exceeds(residuals, refs.eta)
+            report.record_verification(
+                "fused-ccv", None, float(residuals[-1]), refs.eta, bool(violations[-1])
             )
+            if violations.any() and not violations[-1]:
+                # Interior-only violation: the earliest flagged tap names the
+                # first corrupted stage.
+                stage = int(np.nonzero(violations)[0][0])
+                report.record_verification(
+                    "fused-interior-ccv", stage, float(residuals[stage]), refs.eta, True
+                )
+            return bool(violations.any())
+
+        def fix(_: object) -> bool:
+            nonlocal x, tap_refs
+            # Fault-free runs never pay for a defensive copy; only a repair
+            # that must mutate the input makes it private.
+            if np.may_share_memory(x, original):
+                x = x.copy()
+            repaired = self._repair_memory(x, refs, report, "fused")
+            if repaired is False:
+                return False
+            if repaired:
+                # The tap references were encoded from the pre-repair data
+                # and would otherwise flag every subsequent (correct) run.
+                tap_refs = prog.encode(x)
+                if self._w1 is self._c:
+                    refs.cx = refs.s1 = complex(tap_refs[-1])
+            report.record_correction("restart", "fused", None, "fused transform recomputed")
+            return True
+
+        # The clean common case skips the driver call.
+        failed = attempt()
+        if failed:
+            self._retry(attempt, fix, report, "fused", failed)
         return SchemeResult(output=output, report=report, scheme=self.scheme.name)
 
     # ------------------------------------------------------------------
@@ -475,18 +627,6 @@ class FTPlan:
             data = data.real
         return np.array(data, dtype=np.float64)
 
-    def _transform_real(self, rows: np.ndarray) -> np.ndarray:
-        """Unprotected packed transform (compiled program or backend rfft)."""
-
-        if self._real_program is not None:
-            return self._real_program.execute(rows)
-        return get_backend(self.backend).rfft(rows, axis=-1)
-
-    def _inverse_transform_real(self, spectrum: np.ndarray) -> np.ndarray:
-        if self._real_program is not None:
-            return self._real_program.execute_inverse(spectrum)
-        return get_backend(self.backend).irfft(spectrum, n=self.n, axis=-1)
-
     def _output_checksum(self, packed: np.ndarray) -> Union[np.complexfloating, np.ndarray]:
         """End-to-end output reduction; the conjugate-even fold in real mode.
 
@@ -500,6 +640,15 @@ class FTPlan:
         return packed @ self._r
 
     def _execute_real(self, x: np.ndarray, injector: Optional[FaultInjector]) -> SchemeResult:
+        """One real vector: the scheme under a live injector, else the protected compiled rfft.
+
+        End-to-end protection around the half-complex program (``c . x``
+        against the packed-layout fold of ``r``).  On even sizes the
+        half-length complex sub-transform is also verified *before* the
+        disentangle pass (``c_h . z = r_h . Z``), so a fault inside the
+        pipeline is caught and recomputed mid-pipeline.
+        """
+
         injector = injector or NullInjector()
         xr = self._as_real(x)
         if xr.shape != (self.n,):
@@ -510,133 +659,60 @@ class FTPlan:
             return self._cast_result(self.scheme.execute(xr, injector))
         report = FTReport(scheme=self.scheme.name)
         if not self._protected:
-            output = self._transform_real(xr)
-        else:
-            output = self._protected_rfft(xr, report)
-        return self._cast_result(
-            SchemeResult(output=output, report=report, scheme=self.scheme.name)
-        )
-
-    def _protected_rfft(self, xr: np.ndarray, report: FTReport) -> np.ndarray:
-        """End-to-end protected compiled rfft (fault-free fast path).
-
-        Offline-style protection around the half-complex program: the input
-        checksum ``c . x`` uses the unchanged closed-form ``rA`` encoding
-        (real samples), the output side folds onto the packed layout, and a
-        violation repairs the input via the locating pair before
-        recomputing.  On even sizes the cached half-length complex
-        sub-transform is additionally verified *before* the disentangle pass
-        (``c_h . z = r_h . Z``), so a fault inside the compiled pipeline is
-        caught and recomputed mid-pipeline instead of surfacing only in the
-        end-to-end check.
-        """
-
-        consts = self.constants
-        cx = weighted_sum(self._c, xr)
-        x_rms = self.thresholds.magnitude_rms(xr)
-        sigma0 = float(x_rms / np.sqrt(2.0))
-        eta = self.thresholds.eta_offline(self.n, xr, sigma0=sigma0)
-        if self.config.memory_ft:
-            s1 = weighted_sum(self._w1, xr)
-            s2 = weighted_sum(self._w2, xr)
-            eta_mem = self.thresholds.eta_memory(
-                self._w1, xr, weight_rms=consts.w1_n_rms, data_rms=x_rms
+            return self._cast_result(
+                SchemeResult(self._transform_rows(xr), report, self.scheme.name)
             )
+        consts = self.constants
+        refs = self._encode(xr)
         program = self._real_program
         interior = (
             program is not None
             and getattr(program, "half", 0) > 0
             and consts.c_h is not None
         )
-        cz = eta_h = z = None
         if interior:
             # The packed view z aliases xr, so a memory repair of the input
             # is visible here without re-packing.
             z = program.pack(xr)
             cz = weighted_sum(consts.c_h, z)
             eta_h = self.thresholds.eta_offline(program.half, z)
+        output = xr
 
-        def _repair_input() -> bool:
-            """Memory-verify ``xr`` and repair a located corruption.
-
-            Returns ``False`` only when corruption was detected but could
-            not be located (uncorrectable).  Both the interior and the
-            end-to-end detection branches route through this, so a
-            persistent input fault is repaired no matter which check
-            catches it first.  A repair re-encodes the interior checksum:
-            ``cz`` was computed from the pre-repair view and would
-            otherwise flag every subsequent (correct) half transform.
-            """
-
-            nonlocal cz, eta_h
-            if not self.config.memory_ft:
-                return True
-            mem_residual = float(np.abs(weighted_sum(self._w1, xr) - s1))
-            if residual_exceeds(mem_residual, eta_mem):
-                report.record_verification("real-mcv", None, mem_residual, eta_mem, True)
-                repaired = repair_single_error(xr, self._w1, self._w2, s1, s2)
-                if repaired is None:
-                    report.record_uncorrectable(
-                        "real: input corruption could not be located"
-                    )
-                    return False
-                report.record_correction(
-                    "memory-correct", "real-input", None, f"element {repaired[0]} repaired"
-                )
-                if interior:
-                    cz = weighted_sum(consts.c_h, z)
-                    eta_h = self.thresholds.eta_offline(program.half, z)
-            return True
-        output = None
-        attempts = 0
-        while True:
-            attempts += 1
+        def attempt() -> Optional[Tuple[str, str]]:
+            nonlocal output
             if interior:
                 half_spectrum = program.transform_half(z)
-                residual_h = float(
-                    np.abs(weighted_sum(consts.r_h, half_spectrum) - cz)
-                )
+                residual_h = float(np.abs(weighted_sum(consts.r_h, half_spectrum) - cz))
                 detected_h = bool(residual_exceeds(residual_h, eta_h))
-                report.record_verification(
-                    "real-interior-ccv", None, residual_h, eta_h, detected_h
-                )
-                if detected_h:
-                    # A corrupted *input* also trips the interior check (it
-                    # reads z, a view of xr), so the locating pair must get
-                    # its repair chance before the restart recomputes from
-                    # the same data.
-                    if not _repair_input():
-                        output = program.disentangle(half_spectrum)
-                        break
-                    if attempts > self._max_retries:
-                        report.record_uncorrectable(
-                            f"real: interior verification still failing after "
-                            f"{self._max_retries} restarts"
-                        )
-                        output = program.disentangle(half_spectrum)
-                        break
-                    report.record_correction(
-                        "restart", "real-interior", None,
-                        "half-length transform recomputed before disentangle",
-                    )
-                    continue
+                report.record_verification("real-interior-ccv", None, residual_h, eta_h, detected_h)
                 output = program.disentangle(half_spectrum)
+                if detected_h:
+                    return ("real-interior", "half-length transform recomputed before disentangle")
             else:
-                output = self._transform_real(xr)
-            residual = float(np.abs(self._output_checksum(output) - cx))
-            detected = bool(residual_exceeds(residual, eta))
-            report.record_verification("real-ccv", None, residual, eta, detected)
-            if not detected:
-                break
-            if not _repair_input():
-                break
-            if attempts > self._max_retries:
-                report.record_uncorrectable(
-                    f"real: verification still failing after {self._max_retries} restarts"
-                )
-                break
-            report.record_correction("restart", "real", None, "packed transform recomputed")
-        return output
+                output = self._transform_rows(xr)
+            residual = float(np.abs(self._output_checksum(output) - refs.cx))
+            detected = bool(residual_exceeds(residual, refs.eta))
+            report.record_verification("real-ccv", None, residual, refs.eta, detected)
+            return ("real", "packed transform recomputed") if detected else None
+
+        def fix(failed: Tuple[str, str]) -> bool:
+            nonlocal cz, eta_h
+            # A corrupted *input* also trips the interior check (it reads z,
+            # a view of xr), so either check gets the repair before the
+            # restart recomputes from the same data.
+            repaired = self._repair_memory(xr, refs, report, "real")
+            if repaired is False:
+                return False
+            if repaired and interior:
+                # cz was encoded from the pre-repair view and would otherwise
+                # flag every subsequent (correct) half transform.
+                cz = weighted_sum(consts.c_h, z)
+                eta_h = self.thresholds.eta_offline(program.half, z)
+            report.record_correction("restart", failed[0], None, failed[1])
+            return True
+
+        self._retry(attempt, fix, report, "real")
+        return self._cast_result(SchemeResult(output, report, self.scheme.name))
 
     def _inverse_real(
         self, spectrum: np.ndarray, injector: Optional[FaultInjector]
@@ -645,10 +721,11 @@ class FTPlan:
 
         Uses the same identity as the forward direction with the roles
         swapped: ``c . x_out`` must match the conjugate-even fold of ``r``
-        over the (stored, pre-transform) packed spectrum.  Interior fault
-        sites do not fire here (the compiled half-complex inverse has no
-        instrumented sub-FFT stages); INPUT strikes the packed spectrum,
-        OUTPUT the real signal.
+        over the (stored, pre-transform) packed spectrum, and the locating
+        pair runs over the packed spectrum itself.  Interior fault sites do
+        not fire here (the compiled half-complex inverse has no instrumented
+        sub-FFT stages); INPUT strikes the packed spectrum, OUTPUT the real
+        signal.
         """
 
         injector = injector or NullInjector()
@@ -658,61 +735,46 @@ class FTPlan:
                 f"real plan expects {self.bins} packed bins, got shape {packed.shape}"
             )
         report = FTReport(scheme=self.scheme.name)
-        if not self._protected:
-            injector.visit(FaultSite.INPUT, packed)
-            output = self._inverse_transform_real(packed)
-            injector.visit(FaultSite.OUTPUT, output)
-            return self._cast_result(
-                SchemeResult(output=output, report=report, scheme=self.scheme.name)
+        refs = None
+        if self._protected:
+            consts = self.constants
+            refs = self._encode(
+                packed,
+                cx=complex(self._output_checksum(packed)),  # r . X, stored before faults
+                w=(consts.p1_h, consts.p2_h, consts.p1_h_rms),
             )
-        consts = self.constants
-        target = complex(self._output_checksum(packed))  # r . X, stored before faults
-        if self.config.memory_ft:
-            p1, p2 = consts.p1_h, consts.p2_h
-            s1 = weighted_sum(p1, packed)
-            s2 = weighted_sum(p2, packed)
-            eta_mem = self.thresholds.eta_memory(p1, packed, weight_rms=consts.p1_h_rms)
         injector.visit(FaultSite.INPUT, packed)
-        output = None
-        attempts = 0
-        while True:
-            attempts += 1
-            output = self._inverse_transform_real(packed)
+        output = packed
+
+        def attempt() -> bool:
+            nonlocal output
+            if self._real_program is not None:
+                output = self._real_program.execute_inverse(packed)
+            else:
+                output = get_backend(self.backend).irfft(packed, n=self.n, axis=-1)
             injector.visit(FaultSite.OUTPUT, output)
+            if refs is None:
+                return False
             eta = self.thresholds.eta_offline(self.n, output)
-            residual = float(np.abs(weighted_sum(self._c, output) - target))
+            residual = float(np.abs(weighted_sum(self._c, output) - refs.cx))
             detected = bool(residual_exceeds(residual, eta))
             report.record_verification("real-inverse-ccv", None, residual, eta, detected)
-            if not detected:
-                break
-            if self.config.memory_ft:
-                mem_residual = float(np.abs(weighted_sum(p1, packed) - s1))
-                if residual_exceeds(mem_residual, eta_mem):
-                    report.record_verification("real-inverse-mcv", None, mem_residual, eta_mem, True)
-                    repaired = repair_single_error(packed, p1, p2, s1, s2)
-                    if repaired is None:
-                        report.record_uncorrectable(
-                            "real inverse: spectrum corruption could not be located"
-                        )
-                        break
-                    report.record_correction(
-                        "memory-correct", "real-inverse-input", None,
-                        f"bin {repaired[0]} repaired",
-                    )
-            if attempts > self._max_retries:
-                report.record_uncorrectable(
-                    f"real inverse: verification still failing after {self._max_retries} restarts"
-                )
-                break
+            return detected
+
+        def fix(_: object) -> bool:
+            assert refs is not None
+            if self._repair_memory(packed, refs, report, "real-inverse") is False:
+                return False
             report.record_correction("restart", "real-inverse", None, "real inverse recomputed")
-        return self._cast_result(
-            SchemeResult(output=output, report=report, scheme=self.scheme.name)
-        )
+            return True
+
+        self._retry(attempt, fix, report, "real inverse")
+        return self._cast_result(SchemeResult(output, report, self.scheme.name))
 
     # ------------------------------------------------------------------
     # in-place / overwrite execution (``out=``)
     # ------------------------------------------------------------------
-    def _check_out(self, out: np.ndarray, shape: Tuple[int, ...], dtype: type) -> np.ndarray:
+    def _check_out(self, out: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
         if self.dtype != np.complex128:
             raise ValueError(
                 "the overwrite path runs in the buffer itself and cannot "
@@ -721,24 +783,21 @@ class FTPlan:
         if (
             not isinstance(out, np.ndarray)
             or out.shape != shape
-            or out.dtype != dtype
+            or out.dtype != np.complex128
             or not out.flags.c_contiguous
             or not out.flags.writeable
         ):
             raise ValueError(
-                f"out must be a writeable C-contiguous {np.dtype(dtype).name} "
-                f"array of shape {shape}"
+                f"out must be a writeable C-contiguous complex128 array of shape {shape}"
             )
         return out
 
     def _inplace_constants(self) -> SchemeConstants:
         """The constants bundle with the carried surrogate pairs present.
 
-        Plans configured with ``inplace=True`` built them at plan time;
-        a plan whose caller discovers ``out=`` later gets them lazily here
-        (one compiled FFT per weight vector, cached on the plan - a benign
-        race recomputes identical arrays), so surrogate recovery never
-        silently degrades just because the config lacked the flag.
+        Built at plan time under ``inplace=True``, otherwise lazily on the
+        first ``out=`` call (cached on the plan; a benign race recomputes
+        identical arrays), so surrogate recovery never silently degrades.
         """
 
         consts = self.constants
@@ -762,227 +821,54 @@ class FTPlan:
         else:
             rows[...] = self._transform_rows(rows)
 
-    def _repair_output(
-        self,
-        buf: np.ndarray,
-        S1: Optional[np.complexfloating],
-        S2: Optional[np.complexfloating],
-        weights: Tuple[Optional[np.ndarray], Optional[np.ndarray]],
-        report: FTReport,
-        label: str,
-        index: Optional[int] = None,
-    ) -> bool:
-        """Locate/repair one corrupted element of the overwritten buffer.
-
-        ``S1``/``S2`` are the carried surrogate sums encoded from the
-        (destroyed) input; ``weights`` is the matching locating pair over
-        the output layout.  Returns ``False`` when no surrogate exists or
-        location fails - the in-place path has nothing left to recompute
-        from, so the caller records the violation as uncorrectable.
-        """
-
-        if S1 is None:
-            report.record_uncorrectable(
-                f"{label}: input overwritten and no locating surrogate "
-                f"(the plan has no memory fault tolerance)"
-            )
-            return False
-        w1, w2 = weights
-        repaired = repair_single_error(buf, w1, w2, S1, S2)
-        if repaired is None:
-            report.record_uncorrectable(
-                f"{label}: corruption of the overwritten buffer could not be located"
-            )
-            return False
-        report.record_correction(
-            "memory-correct", label, index,
-            f"element {repaired[0]} repaired from the carried surrogate",
-        )
-        return True
-
     def _execute_out(
-        self,
-        x: np.ndarray,
-        injector: Optional[FaultInjector],
-        out: np.ndarray,
+        self, x: np.ndarray, injector: Optional[FaultInjector], out: np.ndarray
     ) -> SchemeResult:
-        """Complex overwrite path: ``out`` (possibly ``x`` itself) is transformed in place."""
+        """Overwrite path: the spectrum lands in ``out`` and the input is consumed.
 
-        out = self._check_out(out, (self.n,), np.complex128)
-        x = np.asarray(x)
-        if x.shape != (self.n,):
-            raise ValueError(f"input has length {x.size}, expected {self.n}")
-        if out is not x:
-            np.copyto(out, x.astype(np.complex128, copy=False))
-        injector = injector or NullInjector()
-        report = FTReport(scheme=f"{self.scheme.name}[inplace]")
-        if not self._protected:
-            injector.visit(FaultSite.INPUT, out)
-            self._transform_inplace(out)
-            injector.visit(FaultSite.OUTPUT, out)
-            return SchemeResult(output=out, report=report, scheme=self.scheme.name)
-
-        consts = self._inplace_constants()
-        # --- encode while the input still exists --------------------------
-        cx = weighted_sum(self._c, out)
-        eta = self.thresholds.eta_offline(self.n, out)
-        s1 = s2 = S1 = S2 = None
-        if self.config.memory_ft:
-            s1 = weighted_sum(self._w1, out)
-            s2 = weighted_sum(self._w2, out)
-            eta_mem = self.thresholds.eta_memory(
-                self._w1, out, weight_rms=consts.w1_n_rms
-            )
-            if consts.fw1_n is not None:
-                # The carried surrogate: these two sums ARE w1 . X / w2 . X
-                # of the not-yet-computed output.
-                S1 = weighted_sum(consts.fw1_n, out)
-                S2 = weighted_sum(consts.fw2_n, out)
-        report.bump("checksum-generations", 1)
-
-        injector.visit(FaultSite.INPUT, out)
-
-        # --- last-chance input verification (the buffer is about to go) ---
-        if self.config.memory_ft:
-            mem_residual = float(np.abs(weighted_sum(self._w1, out) - s1))
-            if residual_exceeds(mem_residual, eta_mem):
-                report.record_verification("inplace-mcv", None, mem_residual, eta_mem, True)
-                repaired = repair_single_error(out, self._w1, self._w2, s1, s2)
-                if repaired is None:
-                    report.record_uncorrectable(
-                        "in-place: input corruption could not be located before overwrite"
-                    )
-                else:
-                    report.record_correction(
-                        "memory-correct", "inplace-input", None,
-                        f"element {repaired[0]} repaired before the transform",
-                    )
-
-        # --- transform (destroys the input) + output verification ---------
-        self._transform_inplace(out)
-        injector.visit(FaultSite.OUTPUT, out)
-        attempts = 0
-        while True:
-            residual = float(np.abs(weighted_sum(self._r, out) - cx))
-            detected = bool(residual_exceeds(residual, eta))
-            report.record_verification("inplace-ccv", None, residual, eta, detected)
-            if not detected:
-                break
-            attempts += 1
-            if attempts > self._max_retries:
-                report.record_uncorrectable(
-                    f"in-place: verification still failing after {self._max_retries} repairs"
-                )
-                break
-            if not self._repair_output(
-                out, S1, S2, (self._w1, self._w2), report, "inplace-output"
-            ):
-                break
-        return SchemeResult(output=out, report=report, scheme=self.scheme.name)
-
-    def _execute_real_out(
-        self,
-        x: np.ndarray,
-        injector: Optional[FaultInjector],
-        out: np.ndarray,
-    ) -> SchemeResult:
-        """Real overwrite path: ``x``'s buffer is consumed, ``out`` gets the bins.
-
-        The packed view of the caller's float buffer is transformed in
-        place by the half-length Stockham program, so the real samples are
-        destroyed; the carried surrogate is the packed locating pair
-        re-encoded from the input (``p . P = (F [p; 0]) . x``).
+        Complex plans transform ``out`` (possibly ``x`` itself) in place;
+        real plans consume ``x``'s buffer when it is directly usable (its
+        packed view is transformed in place), else a private copy.  The
+        input gets a last-chance memory verification just before it is
+        overwritten; a flagged output is repaired from the carried surrogate.
         """
 
-        out = self._check_out(out, (self.bins,), np.complex128)
+        out = self._check_out(out, (self.bins if self._real else self.n,))
         x = np.asarray(x)
         if x.shape != (self.n,):
             raise ValueError(f"input has length {x.size}, expected {self.n}")
-        # The overwrite contract applies to the caller's buffer only when it
-        # is directly consumable; otherwise work on a private copy (the
-        # caller's data survives, the out= result is identical).
-        if (
-            isinstance(x, np.ndarray)
-            and x.dtype == np.float64
-            and x.flags.c_contiguous
-            and x.flags.writeable
-        ):
-            xr = x
+        if not self._real:
+            if out is not x:
+                np.copyto(out, x.astype(np.complex128, copy=False))
+            src = out
+        elif x.dtype == np.float64 and x.flags.c_contiguous and x.flags.writeable:
+            src = x
         else:
-            xr = self._as_real(x)
+            src = self._as_real(x)
         injector = injector or NullInjector()
         report = FTReport(scheme=f"{self.scheme.name}[inplace]")
-        program = self._real_program
-        consts = self._inplace_constants() if self._protected else self.constants
-
-        def _transform() -> None:
-            if program is not None:
-                out[...] = program.execute_overwrite(xr)
-            else:
-                out[...] = get_backend(self.backend).rfft(xr, axis=-1)
-
-        if not self._protected:
-            injector.visit(FaultSite.INPUT, xr)
-            _transform()
-            injector.visit(FaultSite.OUTPUT, out)
-            return SchemeResult(output=out, report=report, scheme=self.scheme.name)
-
-        # --- encode while the input still exists --------------------------
-        cx = weighted_sum(self._c, xr)
-        x_rms = self.thresholds.magnitude_rms(xr)
-        sigma0 = float(x_rms / np.sqrt(2.0))
-        eta = self.thresholds.eta_offline(self.n, xr, sigma0=sigma0)
-        s1 = s2 = S1 = S2 = None
-        if self.config.memory_ft:
-            s1 = weighted_sum(self._w1, xr)
-            s2 = weighted_sum(self._w2, xr)
-            eta_mem = self.thresholds.eta_memory(
-                self._w1, xr, weight_rms=consts.w1_n_rms, data_rms=x_rms
-            )
-            if consts.fp1_h is not None:
-                S1 = weighted_sum(consts.fp1_h, xr)
-                S2 = weighted_sum(consts.fp2_h, xr)
-        report.bump("checksum-generations", 1)
-
-        injector.visit(FaultSite.INPUT, xr)
-
-        # --- last-chance input verification --------------------------------
-        if self.config.memory_ft:
-            mem_residual = float(np.abs(weighted_sum(self._w1, xr) - s1))
-            if residual_exceeds(mem_residual, eta_mem):
-                report.record_verification("inplace-mcv", None, mem_residual, eta_mem, True)
-                repaired = repair_single_error(xr, self._w1, self._w2, s1, s2)
-                if repaired is None:
-                    report.record_uncorrectable(
-                        "real in-place: input corruption could not be located before overwrite"
-                    )
-                else:
-                    report.record_correction(
-                        "memory-correct", "inplace-input", None,
-                        f"element {repaired[0]} repaired before the transform",
-                    )
-
-        # --- transform (destroys the input) + packed-output verification --
-        _transform()
+        refs = None
+        if self._protected:
+            refs = self._encode(src, surrogate=True)
+            report.bump("checksum-generations", 1)
+        injector.visit(FaultSite.INPUT, src)
+        if refs is not None:
+            self._repair_memory(src, refs, report, "inplace")
+        if not self._real:
+            self._transform_inplace(out)
+        elif self._real_program is not None:
+            out[...] = self._real_program.execute_overwrite(src)
+        else:
+            out[...] = get_backend(self.backend).rfft(src, axis=-1)
         injector.visit(FaultSite.OUTPUT, out)
-        attempts = 0
-        while True:
-            residual = float(np.abs(self._output_checksum(out) - cx))
-            detected = bool(residual_exceeds(residual, eta))
-            report.record_verification("inplace-ccv", None, residual, eta, detected)
-            if not detected:
-                break
-            attempts += 1
-            if attempts > self._max_retries:
-                report.record_uncorrectable(
-                    f"real in-place: verification still failing after "
-                    f"{self._max_retries} repairs"
-                )
-                break
-            if not self._repair_output(
-                out, S1, S2, (consts.p1_h, consts.p2_h), report, "inplace-output"
-            ):
-                break
+        if refs is not None:
+            checked = refs
+            self._retry(
+                self._verify_in_place(out, checked, report, "inplace-ccv"),
+                lambda _: self._repair_output(out, checked, report, "inplace-output"),
+                report,
+                "in-place",
+            )
         return SchemeResult(output=out, report=report, scheme=self.scheme.name)
 
     # ------------------------------------------------------------------
@@ -996,37 +882,30 @@ class FTPlan:
     ) -> BatchResult:
         """Protected transform of every length-``n`` slice of ``X`` along ``axis``.
 
-        The batch is transformed as one array (vectorized two-layer pipeline)
-        and protected by vectorized per-row end-to-end checksums; see the
-        module docstring.  With an injector, faults may strike the batched
-        input and output arrays (:attr:`FaultSite.INPUT` /
-        :attr:`FaultSite.OUTPUT`); stage-interior sites never fire in a
-        batched run (recovery re-executions are deliberately injector-free
-        so a persistent spec cannot re-corrupt its own repair) - use
-        :meth:`execute` to exercise interior fault sites.
+        The batch is transformed as one array and protected by vectorized
+        per-row end-to-end checksums; see the module docstring.  Faults may
+        strike only the batched input and output arrays
+        (:attr:`FaultSite.INPUT` / :attr:`FaultSite.OUTPUT`; row recomputes
+        are injector-free so a persistent spec cannot re-corrupt its own
+        repair) - use :meth:`execute` to exercise interior fault sites.
 
         ``out`` selects the batched overwrite path: the spectra land in the
         given buffer, which for complex plans may be ``X`` itself - the
-        rows are then transformed chunk-parallel *in place* (Stockham
-        lowering, per-worker half-size scratch) and the input rows are
-        destroyed.  Protection follows the in-place discipline of
-        :meth:`execute`: a last-chance vectorized memory verification
-        repairs input corruption just before the overwrite, and flagged
-        output rows are repaired from the checksum-carried surrogate
-        (``rows @ (F w)`` encoded pre-transform) instead of re-executing.
-        Real plans accept a separate preallocated packed-spectrum buffer.
+        rows are then transformed chunk-parallel *in place* and destroyed.
+        As in :meth:`execute`, a last-chance memory verification repairs
+        input corruption just before the overwrite, and flagged output rows
+        are repaired from the checksum-carried surrogate.  Real plans accept
+        a separate preallocated packed-spectrum buffer.
         """
 
-        if out is not None and not self._real:
-            return self._execute_many_out(X, axis, injector, out)
-        if out is not None:
+        if out is not None and self._real:
             # Validate the destination *before* paying for the protected
             # batch: the packed output shape is X's shape with the transform
             # axis replaced by the bin count.
             shape = np.asarray(X).shape
             norm_axis = axis if axis >= 0 else len(shape) + axis
             expected = shape[:norm_axis] + (self.bins,) + shape[norm_axis + 1 :]
-            self._check_out(out, expected, np.complex128)
+            self._check_out(out, expected)
             result = self.execute_many(X, axis, injector)
             np.copyto(out, result.output)
             return BatchResult(
@@ -1038,7 +917,13 @@ class FTPlan:
         X = np.asarray(X)
         if X.ndim == 0:
             raise ValueError("execute_many expects at least a 1-D array")
-        if self._real:
+        inplace = out is not None
+        if out is not None:
+            out = self._check_out(out, X.shape)
+            if out is not X:
+                np.copyto(out, np.asarray(X, dtype=np.complex128))
+            moved = np.moveaxis(out, axis, -1)
+        elif self._real:
             moved = np.moveaxis(X, axis, -1)
         else:
             moved = np.moveaxis(np.asarray(X, dtype=np.complex128), axis, -1)
@@ -1052,8 +937,16 @@ class FTPlan:
         # and recovery repairs - this array in place).  Reshaping a
         # non-contiguous moveaxis view already copies, so only copy when the
         # reshape still aliases the caller's buffer.  (_as_real always
-        # copies.)
-        if self._real:
+        # copies.)  The overwrite layout works on `out` itself, or on a
+        # private contiguous matrix scattered back at the end when the
+        # transform axis is not the last one.
+        scatter = False
+        if out is not None:
+            rows = moved.reshape(-1, self.n)
+            scatter = not (np.shares_memory(rows, out) and rows.flags.c_contiguous)
+            if scatter:
+                rows = np.ascontiguousarray(rows)
+        elif self._real:
             rows = self._as_real(moved, name="X").reshape(-1, self.n)
         else:
             rows = moved.reshape(-1, self.n)
@@ -1061,315 +954,151 @@ class FTPlan:
                 rows = rows.copy()
         batch = rows.shape[0]
         injector = injector or NullInjector()
-        report = FTReport(scheme=f"{self.scheme.name}[batch]")
+        site = "batch-inplace" if inplace else "batch"
+        report = FTReport(scheme=f"{self.scheme.name}[{'batch,inplace' if inplace else 'batch'}]")
         fallback: List[int] = []
         dead: List[int] = []
-
-        # Chunk layout of the (possibly) parallel execution: a function of
-        # (batch, threads) only, so threaded runs are deterministic.  One
-        # chunk keeps the legacy fully-serial path (direct binding of the
-        # transform result, whole-batch GEMV verification) bit for bit.
-        chunks = min(self.threads, batch) if self.threads > 1 else 1
-        ranges = split_ranges(batch, chunks)
-        width = self.bins if self._real else self.n
-        visit_lock = threading.Lock()
-
-        def _visit_output(segment: np.ndarray, chunk_index: int) -> None:
-            # The OUTPUT fault site, per worker chunk - the shared-memory
-            # analogue of the paper's per-rank sites.  Specs can pin a
-            # worker with ``index=``; the default fire-once spec strikes
-            # exactly one chunk.
-            if injector.is_live:
-                with visit_lock:
-                    injector.visit(FaultSite.OUTPUT, segment, index=chunk_index)
-
-        if not self._protected:
-            injector.visit(FaultSite.INPUT, rows)
-            if chunks == 1:
-                out = self._transform_rows(rows)
-                injector.visit(FaultSite.OUTPUT, out)
-            else:
-                out = np.empty((batch, width), dtype=np.complex128)
-
-                def transform_chunk(ci: int, lo: int, hi: int) -> None:
-                    out[lo:hi] = self._transform_rows(rows[lo:hi])
-                    _visit_output(out[lo:hi], ci)
-
-                self._run_chunks(transform_chunk, ranges)
-        else:
-            # --- vectorized encoding (one matmul per checksum vector; the
-            # robust per-row statistics are sampled once and shared by every
-            # threshold that needs them) ----------------------------------
-            cx = rows @ self._c
-            sigma_rows = self.thresholds.component_sigma_rows(rows)
-            etas = self.thresholds.eta_offline_batch(self.n, rows, sigma0=sigma_rows)
-            if self.config.memory_ft:
-                s1 = rows @ self._w1
-                s2 = rows @ self._w2
-                eta_mem = self.thresholds.eta_memory_batch(
-                    self._w1, rows, weight_rms=self.constants.w1_n_rms, sigma0=sigma_rows
-                )
-            else:
-                s1 = s2 = None
+        refs = None
+        if self._protected:
+            # Vectorized encoding: one matmul per checksum vector, the
+            # per-row statistics sampled once for every threshold.
+            refs = self._encode(rows, surrogate=inplace)
             report.bump("checksum-generations", batch)
-
-            # Faults may strike only once the protection exists (the paper's
-            # fault model excludes corruption during checksum generation).
-            injector.visit(FaultSite.INPUT, rows)
-
-            # --- transform + verification (whole-batch when serial, ------
-            # per-worker chunks when threaded; real plans: packed output,
-            # conjugate-even reduction).  The memory verification of the
-            # input rows against their stored locating checksums catches
-            # input corruption even at the 3 | n sizes where the end-to-end
-            # vector rA is nearly degenerate and the computational residual
-            # is blind.
-            if chunks == 1:
-                out = self._transform_rows(rows)
-                injector.visit(FaultSite.OUTPUT, out)
-                residuals = np.abs(self._output_checksum(out) - cx)
-                comp_violations = residual_exceeds(residuals, etas)
-                violations = comp_violations
-                if self.config.memory_ft:
-                    mem_residuals = np.abs(rows @ self._w1 - s1)
-                    violations = violations | residual_exceeds(mem_residuals, eta_mem)
-            else:
-                out = np.empty((batch, width), dtype=np.complex128)
-                residuals = np.empty(batch, dtype=np.float64)
-                comp_violations = np.zeros(batch, dtype=bool)
-                violations = np.zeros(batch, dtype=bool)
-
-                def verify_chunk(ci: int, lo: int, hi: int) -> None:
-                    # Per-worker ABFT: each worker transforms its own slice
-                    # of rows, exposes the OUTPUT site, and verifies its
-                    # slice's end-to-end checksums before returning - a
-                    # corrupted worker's chunk is located independently of
-                    # the others.
-                    out[lo:hi] = self._transform_rows(rows[lo:hi])
-                    _visit_output(out[lo:hi], ci)
-                    residuals[lo:hi] = np.abs(
-                        self._output_checksum(out[lo:hi]) - cx[lo:hi]
-                    )
-                    viol = residual_exceeds(residuals[lo:hi], etas[lo:hi])
-                    comp_violations[lo:hi] = viol
-                    if self.config.memory_ft:
-                        mem_residuals = np.abs(rows[lo:hi] @ self._w1 - s1[lo:hi])
-                        viol = viol | residual_exceeds(mem_residuals, eta_mem[lo:hi])
-                    violations[lo:hi] = viol
-
-                self._run_chunks(verify_chunk, ranges)
+        # Faults may strike only once the protection exists (the paper's
+        # fault model excludes corruption during checksum generation).
+        injector.visit(FaultSite.INPUT, rows)
+        if refs is not None and inplace and refs.w is not None:
+            # Last-chance input verification: the rows are about to go.
+            flagged = residual_exceeds(np.abs(rows @ refs.w[0] - refs.s1), refs.eta_mem)
+            for idx in np.nonzero(flagged)[0]:
+                if self._repair_memory(rows[idx], refs.row(idx), report, site, int(idx)) is False:
+                    dead.append(int(idx))
+            report.bump("memory-verifications", batch)
+        spectra, residuals, violations = self._batch_pass(rows, injector, refs, inplace)
+        if refs is not None:
             report.bump("verifications", batch)
-            if self.config.memory_ft:
+            if refs.w is not None and not inplace:
                 report.bump("memory-verifications", batch)
-            bad = np.nonzero(violations)[0]
-
-            # --- scalar recovery for the (rare) flagged rows --------------
-            for idx in bad:
-                idx = int(idx)
-                # Rows flagged only by the memory check get their
-                # "batch-mcv" record inside _recover_row; don't fabricate a
-                # computational violation for them here.
-                if comp_violations[idx]:
-                    report.record_verification(
-                        "batch-ccv", idx, float(residuals[idx]), float(etas[idx]), True
-                    )
-                fallback.append(idx)
-                ok = self._recover_row(rows, out, idx, cx, etas, s1, s2, report)
-                if not ok:
-                    dead.append(idx)
-                    report.record_uncorrectable(
-                        f"batch row {idx} still failing after {self._max_retries} retries"
-                    )
-
-        output = out.reshape(batch_shape + (width,))
-        output = np.moveaxis(output, -1, axis)
-        if self.dtype != np.complex128:
-            output = output.astype(self.dtype)
-        return BatchResult(
-            output=output,
-            report=report,
-            fallback_rows=tuple(fallback),
-            uncorrectable_rows=tuple(dead),
-        )
-
-    # ------------------------------------------------------------------
-    def _execute_many_out(
-        self,
-        X: np.ndarray,
-        axis: int,
-        injector: Optional[FaultInjector],
-        out: np.ndarray,
-    ) -> BatchResult:
-        """Complex batched overwrite path (see :meth:`execute_many`)."""
-
-        X = np.asarray(X)
-        if X.ndim == 0:
-            raise ValueError("execute_many expects at least a 1-D array")
-        out = self._check_out(out, X.shape, np.complex128)
-        if out is not X:
-            np.copyto(out, np.asarray(X, dtype=np.complex128))
-        moved = np.moveaxis(out, axis, -1)
-        if moved.shape[-1] != self.n:
-            raise ValueError(
-                f"axis {axis} has length {moved.shape[-1]}, expected {self.n}"
-            )
-        rows = moved.reshape(-1, self.n)
-        rows_alias_out = np.shares_memory(rows, out) and rows.flags.c_contiguous
-        if not rows_alias_out:
-            # Non-last-axis layouts work on a private contiguous matrix;
-            # the pipeline mutates it and the spectra are scattered back
-            # below (the overwrite contract is on `out`, not the layout).
-            rows = np.ascontiguousarray(rows)
-        batch = rows.shape[0]
-        injector = injector or NullInjector()
-        report = FTReport(scheme=f"{self.scheme.name}[batch,inplace]")
-        fallback: List[int] = []
-        dead: List[int] = []
-
-        chunks = min(self.threads, batch) if self.threads > 1 else 1
-        ranges = split_ranges(batch, chunks)
-        visit_lock = threading.Lock()
-
-        def _visit_output(segment: np.ndarray, chunk_index: int) -> None:
-            if injector.is_live:
-                with visit_lock:
-                    injector.visit(FaultSite.OUTPUT, segment, index=chunk_index)
-
-        if not self._protected:
-            injector.visit(FaultSite.INPUT, rows)
-
-            def transform_chunk(ci: int, lo: int, hi: int) -> None:
-                self._transform_inplace(rows[lo:hi])
-                _visit_output(rows[lo:hi], ci)
-
-            self._run_chunks(transform_chunk, ranges)
-        else:
-            consts = self._inplace_constants()
-            # --- encode while the input rows still exist (batch statistics
-            # sampled once, shared across thresholds) ----------------------
-            cx = rows @ self._c
-            sigma_rows = self.thresholds.component_sigma_rows(rows)
-            etas = self.thresholds.eta_offline_batch(self.n, rows, sigma0=sigma_rows)
-            S1 = S2 = None
-            if self.config.memory_ft:
-                s1 = rows @ self._w1
-                s2 = rows @ self._w2
-                eta_mem = self.thresholds.eta_memory_batch(
-                    self._w1, rows, weight_rms=consts.w1_n_rms, sigma0=sigma_rows
-                )
-                if consts.fw1_n is not None:
-                    S1 = rows @ consts.fw1_n
-                    S2 = rows @ consts.fw2_n
-            report.bump("checksum-generations", batch)
-
-            injector.visit(FaultSite.INPUT, rows)
-
-            # --- last-chance input verification (vectorized) --------------
-            if self.config.memory_ft:
-                mem_residuals = np.abs(rows @ self._w1 - s1)
-                for idx in np.nonzero(residual_exceeds(mem_residuals, eta_mem))[0]:
-                    idx = int(idx)
-                    report.record_verification(
-                        "batch-inplace-mcv", idx,
-                        float(mem_residuals[idx]), float(eta_mem[idx]), True,
-                    )
-                    repaired = repair_single_error(
-                        rows[idx], self._w1, self._w2, s1[idx], s2[idx]
-                    )
-                    if repaired is None:
-                        dead.append(idx)
-                        report.record_uncorrectable(
-                            f"batch row {idx}: input corruption could not be "
-                            f"located before overwrite"
-                        )
-                    else:
-                        report.record_correction(
-                            "memory-correct", "batch-inplace-input", idx,
-                            f"element {repaired[0]} repaired before the transform",
-                        )
-                report.bump("memory-verifications", batch)
-
-            # --- chunked in-place transform + per-worker verification -----
-            residuals = np.empty(batch, dtype=np.float64)
-            violations = np.zeros(batch, dtype=bool)
-
-            def verify_chunk(ci: int, lo: int, hi: int) -> None:
-                self._transform_inplace(rows[lo:hi])
-                _visit_output(rows[lo:hi], ci)
-                residuals[lo:hi] = np.abs(rows[lo:hi] @ self._r - cx[lo:hi])
-                violations[lo:hi] = residual_exceeds(residuals[lo:hi], etas[lo:hi])
-
-            self._run_chunks(verify_chunk, ranges)
-            report.bump("verifications", batch)
-
-            # --- surrogate recovery for flagged rows ----------------------
             for idx in np.nonzero(violations)[0]:
                 idx = int(idx)
-                report.record_verification(
-                    "batch-inplace-ccv", idx, float(residuals[idx]), float(etas[idx]), True
-                )
-                fallback.append(idx)
-                ok = False
-                for _ in range(max(1, self._max_retries)):
-                    if not self._repair_output(
-                        rows[idx],
-                        None if S1 is None else complex(S1[idx]),
-                        None if S2 is None else complex(S2[idx]),
-                        (self._w1, self._w2),
-                        report,
-                        "batch-inplace-output",
-                        idx,
-                    ):
-                        ok = None  # uncorrectable already recorded
-                        break
-                    residual = float(np.abs(weighted_sum(self._r, rows[idx]) - cx[idx]))
-                    ok = not bool(residual_exceeds(residual, float(etas[idx])))
+                # Rows flagged only by the memory check get their mcv record
+                # from the repair; don't fabricate a computational one here.
+                if residual_exceeds(residuals[idx], refs.eta[idx]):
                     report.record_verification(
-                        "batch-inplace-ccv-retry", idx, residual, float(etas[idx]), not ok
+                        f"{site}-ccv", idx, float(residuals[idx]), float(refs.eta[idx]), True
                     )
-                    if ok:
-                        break
-                if ok is not True:
-                    # ok is None: the surrogate repair itself failed (already
-                    # recorded); ok is False: repairs kept failing verification.
+                fallback.append(idx)
+                if not self._recover_row(rows, spectra, idx, refs.row(idx), report, inplace):
                     dead.append(idx)
-                if ok is False:
-                    report.record_uncorrectable(
-                        f"batch row {idx}: in-place verification still failing "
-                        f"after {self._max_retries} repairs"
-                    )
-
-        if not rows_alias_out:
-            moved[...] = rows.reshape(moved.shape)
+        if out is not None:
+            if scatter:
+                moved[...] = rows.reshape(moved.shape)
+            output = out
+        else:
+            output = np.moveaxis(spectra.reshape(batch_shape + spectra.shape[-1:]), -1, axis)
+            if self.dtype != np.complex128:
+                output = output.astype(self.dtype)
         return BatchResult(
-            output=out,
+            output=output,
             report=report,
             fallback_rows=tuple(fallback),
             uncorrectable_rows=tuple(sorted(set(dead))),
         )
 
-    # ------------------------------------------------------------------
-    def _run_chunks(
-        self, fn: Callable[[int, int, int], None], ranges: Sequence[Tuple[int, int]]
-    ) -> None:
-        """Run ``fn(chunk_index, lo, hi)`` over every chunk, pooled when > 1.
+    def _batch_pass(
+        self,
+        rows: np.ndarray,
+        injector: Union[FaultInjector, NullInjector],
+        refs: Optional[_Refs],
+        inplace: bool,
+    ) -> Tuple[np.ndarray, Any, Any]:
+        """The chunked transform-and-verify body of both ``execute_many`` layouts.
 
-        Single-chunk runs execute inline on the calling thread (the legacy
-        serial path); multi-chunk runs go through the process-wide worker
-        pool, which itself falls back to inline execution when it has one
-        worker or is re-entered from a worker thread.
+        The chunk layout depends on ``(batch, threads)`` only, so threaded
+        runs are deterministic; one chunk is the fully serial path.  Each
+        chunk transforms its rows (in place for the overwrite layout),
+        exposes the OUTPUT fault site (specs can pin a worker with
+        ``index=``), and verifies its own slice before returning -
+        per-worker ABFT, the shared-memory analogue of the paper's per-rank
+        protection.  Returns the spectra, the end-to-end residuals, and the
+        per-row violations (computational or memory; both ``None`` when the
+        plan is unprotected).
         """
 
+        batch = rows.shape[0]
+        ranges = split_ranges(batch, min(self.threads, batch) if self.threads > 1 else 1)
+        # Out-of-place runs also memory-verify the still-intact input rows,
+        # which catches input corruption even at the 3 | n sizes where the
+        # end-to-end vector rA is nearly degenerate.
+        mem_w1 = None if refs is None or refs.w is None or inplace else refs.w[0]
+        visit_lock = threading.Lock()
+
+        def body(ci: int, lo: int, hi: int) -> Tuple[np.ndarray, Any, Any]:
+            if inplace:
+                self._transform_inplace(rows[lo:hi])
+                segment = rows[lo:hi]
+            else:
+                segment = self._transform_rows(rows[lo:hi])
+            if injector.is_live:
+                with visit_lock:
+                    injector.visit(
+                        FaultSite.OUTPUT, segment, index=ci if len(ranges) > 1 else None
+                    )
+            if refs is None:
+                return segment, None, None
+            residuals = np.abs(self._output_checksum(segment) - refs.cx[lo:hi])
+            flagged = residual_exceeds(residuals, refs.eta[lo:hi])
+            if mem_w1 is not None:
+                mem_residuals = np.abs(rows[lo:hi] @ mem_w1 - refs.s1[lo:hi])
+                flagged = flagged | residual_exceeds(mem_residuals, refs.eta_mem[lo:hi])
+            return segment, residuals, flagged
+
         if len(ranges) <= 1:
-            for ci, (lo, hi) in enumerate(ranges):
-                fn(ci, lo, hi)
-            return
-        get_pool().run_tasks(
-            [
-                (lambda ci=ci, lo=lo, hi=hi: fn(ci, lo, hi))
-                for ci, (lo, hi) in enumerate(ranges)
-            ]
+            return body(0, 0, batch)
+        # The pool itself runs inline when it has one worker or is
+        # re-entered from a worker thread.
+        parts: List[Any] = get_pool().run_tasks(
+            [(lambda ci=ci, lo=lo, hi=hi: body(ci, lo, hi)) for ci, (lo, hi) in enumerate(ranges)]
         )
+        spectra = rows if inplace else np.concatenate([part[0] for part in parts])
+        if refs is None:
+            return spectra, None, None
+        return (
+            spectra,
+            np.concatenate([part[1] for part in parts]),
+            np.concatenate([part[2] for part in parts]),
+        )
+
+    def _recover_row(
+        self,
+        rows: np.ndarray,
+        spectra: np.ndarray,
+        idx: int,
+        refs: _Refs,
+        report: FTReport,
+        inplace: bool,
+    ) -> bool:
+        """Recover flagged batch row ``idx`` under the one retry driver.
+
+        The overwrite layout has no input left, so the spectrum is repaired
+        from the carried surrogate.  Otherwise the input row is
+        memory-repaired, recomputed with the same unprotected transform the
+        batch ran (:meth:`_transform_rows`), and re-verified against the
+        row's encode-time ``cx``/``eta``.
+        """
+
+        def fix(_: object) -> bool:
+            if inplace:
+                return self._repair_output(spectra[idx], refs, report, "batch-inplace-output", idx)
+            if self._repair_memory(rows[idx], refs, report, "batch", idx) is False:
+                return False
+            spectra[idx] = self._transform_rows(rows[idx : idx + 1])[0]
+            report.record_correction("recompute", "batch", idx, "row recomputed")
+            return True
+
+        site = "batch-inplace-ccv-retry" if inplace else "batch-ccv-retry"
+        attempt = self._verify_in_place(spectra[idx], refs, report, site, idx)
+        return self._retry(attempt, fix, report, f"batch row {idx}", failed=True)
 
     # ------------------------------------------------------------------
     def _transform_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -1377,70 +1106,23 @@ class FTPlan:
 
         Complex fftlib plans run the whole batch through the compiled
         one-shot stage program (the same lowering the fused protected path
-        wraps); other backends fall back to the batched two-layer pipeline.
-        Real plans run the compiled half-complex program (packed
-        ``(batch, bins)`` output).
+        wraps); other backends fall back to the backend's batched ``fft``.
+        Real plans run the compiled half-complex program (packed output;
+        one vector or a batch) or the backend's ``rfft``.
         """
 
         if self._real:
-            return self._transform_real(rows)
+            if self._real_program is not None:
+                return self._real_program.execute(rows)
+            return get_backend(self.backend).rfft(rows, axis=-1)
         if self._batch_program is not None:
             return self._batch_program.execute(rows)
         # Foreign backends (pocketfft & co.): every registered backend's
         # ``fft`` is a full-size transform batched over the leading axes by
-        # contract, and compiled kernels beat the decomposed two-layer
-        # pipeline ~3x at serving sizes (one library call vs two batched
-        # sub-FFT passes plus twiddle multiply and transpose gather).  The
-        # batch path's protection is end-to-end - the checksums bracket
-        # whatever produces the spectrum - so unlike the scalar scheme it
-        # does not need the two-layer stage structure.
+        # contract, ~3x faster than the two-layer pipeline at serving sizes.
+        # The batch checksums bracket whatever produces the spectrum, so
+        # the scheme's two-layer stage structure is not needed.
         return get_backend(self.backend).fft(rows, axis=-1)
-
-    def _recover_row(
-        self,
-        rows: np.ndarray,
-        out: np.ndarray,
-        idx: int,
-        cx: np.ndarray,
-        etas: np.ndarray,
-        s1: Optional[np.ndarray],
-        s2: Optional[np.ndarray],
-        report: FTReport,
-    ) -> bool:
-        """Recover flagged row ``idx``; mirrors the offline restart loop."""
-
-        row = rows[idx]
-        for _ in range(max(1, self._max_retries)):
-            if self.config.memory_ft:
-                eta_mem = self.thresholds.eta_memory(
-                    self._w1, row, weight_rms=self.constants.w1_n_rms
-                )
-                residual = float(np.abs(weighted_sum(self._w1, row) - s1[idx]))
-                if residual_exceeds(residual, eta_mem):
-                    report.record_verification("batch-mcv", idx, residual, eta_mem, True)
-                    repaired = repair_single_error(row, self._w1, self._w2, s1[idx], s2[idx])
-                    if repaired is None:
-                        report.record_uncorrectable(
-                            f"batch row {idx}: input corruption could not be located"
-                        )
-                        return False
-                    report.record_correction(
-                        "memory-correct", "batch-input", idx, f"element {repaired[0]} repaired"
-                    )
-            # Re-execute through the fully protected scalar scheme so the
-            # recovery inherits the scheme's own sub-FFT-level machinery
-            # (real plans: the scheme runs in real mode and returns the
-            # packed spectrum, verified below on the packed layout).
-            result = self.scheme.execute(row)
-            report.merge(result.report)
-            report.record_correction("recompute", "batch", idx, "row re-executed under full protection")
-            residual = float(np.abs(self._output_checksum(result.output) - cx[idx]))
-            ok = not bool(residual_exceeds(residual, float(etas[idx])))
-            report.record_verification("batch-ccv-retry", idx, residual, float(etas[idx]), not ok)
-            if ok:
-                out[idx] = result.output
-                return True
-        return False
 
     # ------------------------------------------------------------------
     def _cast_result(self, result: SchemeResult) -> SchemeResult:
