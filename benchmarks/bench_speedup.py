@@ -32,6 +32,11 @@ drifts cannot bias the ratios):
   via ctypes, one foreign call per transform);
 * ``rfft_native`` - the real-input path with the native half-length
   program underneath;
+* ``protected_native`` - the ``opt-online+mem+native`` ABFT transform: the
+  fused protected program lowered to one generated-C call (transform plus
+  checksum taps).  ``protected_native_over_native_ratio`` is its time over
+  the unprotected ``native`` column - what protection costs on the fastest
+  tier;
 * ``protected_traced`` - the protected path with event tracing enabled
   (ring sink) for the call's duration.  ``telemetry_overhead_ratio`` is
   ``protected_traced / protected`` from the same interleaved run - a
@@ -40,14 +45,15 @@ drifts cannot bias the ratios):
   ``TELEMETRY_RATIO_MAX`` (1.02x): turning the observability layer on may
   not cost the fault-free protected path more than 2%.
 
-The two native columns are recorded as ``null`` (and their gates skipped)
+The native columns are recorded as ``null`` (and their gates skipped)
 when the tier is unavailable - no working C compiler on the host, or
 ``REPRO_NO_NATIVE=1``.  When the columns *are* present, ``--check``
-enforces absolute floors on the committed reference alongside the
-protected budget: ``speedup_native_vs_compiled`` at least 1.25x from 2^16
-up, and ``speedup_native_vs_numpy`` at least 0.9x at every size (the
-generated kernels must approach pocketfft, the compiled-C reference
-point, or the tier is not paying for its complexity).
+enforces absolute floors alongside the protected budget:
+``speedup_native_vs_compiled`` at least 1.25x from 2^16 up,
+``speedup_native_vs_numpy`` at least 0.9x at every size (the generated
+kernels must approach pocketfft, the compiled-C reference point, or the
+tier is not paying for its complexity), and
+``protected_native_over_native_ratio`` at most 1.6x from 2^16 up.
 
 Machine-readable results are written to ``BENCH_fft_speed.json`` at the
 repository root so the perf trajectory of the compiled path is tracked in
@@ -61,11 +67,13 @@ enough for machine noise across CI hosts, tight enough that "the compiled
 path silently lost its advantage" fails the PR instead of shipping.  A
 run whose sizes are all absent from the committed reference fails too: a
 gate that compares nothing must not pass.  ``--check`` also enforces the
-*absolute* fused-protection budget on the committed reference
-(``protected_over_compiled_ratio`` at most 2x everywhere and at most 1.5x
-from 2^16 up): a regenerated reference that
-busts the paper's low-overhead claim fails every subsequent CI run, and
-the regenerate path refuses to bless such numbers in the first place.
+*absolute* budgets - fused protection (``protected_over_compiled_ratio``
+at most 2x everywhere and at most 1.5x from 2^16 up), the native floors
+and ceiling above, and the telemetry ceiling - on both the committed
+reference and the fresh rows: a regenerated reference that busts the
+paper's low-overhead claim fails every subsequent CI run, a change that
+busts it on the machine running the check fails that run, and the
+regenerate path refuses to bless such numbers in the first place.
 
 Environment knobs: ``REPRO_BENCH_SIZES`` (default ``65536 262144 1048576``,
 up to the paper's 2^20 benchmark regime; sizes below ~2^14 are dominated by
@@ -111,14 +119,14 @@ CHECKED_RATIOS = {
     "speedup_rfft_native_vs_compiled": True,
     # protected overhead: lower is better (ratio of protected over compiled)
     "protected_over_compiled_ratio": False,
+    "protected_native_over_native_ratio": False,
     # tracing-enabled over tracing-disabled protected time: lower is better
     "telemetry_overhead_ratio": False,
 }
 
 #: Absolute budget for the fused protected path: the paper's low-overhead
-#: claim, enforced on the *committed* reference numbers (same-machine
-#: interleaved timings; fresh CI numbers are only held to the relative
-#: tolerance, since a noisy shared runner should not flake an absolute gate).
+#: claim, enforced on the committed reference and on fresh rows (same-machine
+#: interleaved timings, min estimator).
 PROTECTED_RATIO_MAX = 2.0
 #: Tighter budget where the O(n) checksum work amortizes (>= 2^16 the
 #: transform is memory-bound and the protection adds ~2 passes over the data).
@@ -133,6 +141,13 @@ PROTECTED_RATIO_LARGE_MIN_N = 65536
 NATIVE_VS_COMPILED_MIN = 1.25
 NATIVE_VS_COMPILED_MIN_N = 65536
 NATIVE_VS_NUMPY_MIN = 0.9
+#: Absolute ceiling for ``protected_native_over_native_ratio`` from 2^16 up:
+#: the native fused protected program (one C call for transform plus taps)
+#: against the unprotected native transform.  What remains on top is the
+#: per-call encode (``c . x``, the locating sum ``w2 . x``, the threshold
+#: sample) - about two passes over the input.
+PROTECTED_NATIVE_RATIO_MAX = 1.6
+PROTECTED_NATIVE_RATIO_MIN_N = 65536
 
 #: Absolute ceiling for ``telemetry_overhead_ratio`` (tracing-enabled over
 #: tracing-disabled protected time, same interleaved run): the telemetry
@@ -182,13 +197,23 @@ def check_telemetry_budget(rows: list, label: str) -> list:
 
 
 def check_native_floors(rows: list, label: str) -> list:
-    """Absolute native-tier floor violations, as strings (null columns skip)."""
+    """Absolute native-tier floor and ceiling violations, as strings (null columns skip)."""
 
     violations = []
     for row in rows:
         n = int(row["n"])
         vs_compiled = row.get("speedup_native_vs_compiled")
         vs_numpy = row.get("speedup_native_vs_numpy")
+        protected_native = row.get("protected_native_over_native_ratio")
+        if (
+            protected_native is not None
+            and n >= PROTECTED_NATIVE_RATIO_MIN_N
+            and protected_native > PROTECTED_NATIVE_RATIO_MAX
+        ):
+            violations.append(
+                f"n={n}: protected_native_over_native_ratio {protected_native:.3f} "
+                f"exceeds the {PROTECTED_NATIVE_RATIO_MAX}x budget ({label})"
+            )
         if (
             vs_compiled is not None
             and n >= NATIVE_VS_COMPILED_MIN_N
@@ -204,6 +229,16 @@ def check_native_floors(rows: list, label: str) -> list:
                 f"the {NATIVE_VS_NUMPY_MIN}x floor ({label})"
             )
     return violations
+
+
+def absolute_violations(rows: list, label: str) -> list:
+    """Every absolute budget (protected, native, telemetry) checked on ``rows``."""
+
+    return (
+        check_protected_budget(rows, label)
+        + check_native_floors(rows, label)
+        + check_telemetry_budget(rows, label)
+    )
 
 
 def run(write: bool = True) -> dict:
@@ -224,6 +259,7 @@ def run(write: bool = True) -> dict:
             f"threaded x{threads} [ms]",
             "numpy [ms]",
             "protected [ms]",
+            "protected native [ms]",
             "rfft [ms]",
             "compiled speedup",
             "native vs compiled",
@@ -231,6 +267,7 @@ def run(write: bool = True) -> dict:
             "inplace vs compiled",
             "threaded speedup",
             "protected vs compiled",
+            "protected native vs native",
             "telemetry overhead",
             "rfft speedup",
         ],
@@ -284,8 +321,12 @@ def run(write: bool = True) -> dict:
         if with_native:
             native_plan = plan_fft(int(n), backend="fftlib", native=True)
             real_native_plan = plan_fft(int(n), backend="fftlib", real=True, native=True)
+            protected_native_plan = repro.plan(int(n), backend="fftlib", native=True)
             candidates["native"] = lambda x=x, p=native_plan: p.execute(x)
             candidates["rfft_native"] = lambda xr=xr, p=real_native_plan: p.execute(xr)
+            candidates["protected_native"] = (
+                lambda x=x, p=protected_native_plan: p.execute(x)
+            )
         # one cache re-warm call + inner-1 steady-state calls per sample
         # (the candidates share the cache round-robin).  The min estimator
         # keeps per-candidate noise variance out of the near-equal ratios
@@ -304,8 +345,10 @@ def run(write: bool = True) -> dict:
             native_vs_compiled = float(best["compiled"] / best["native"])
             native_vs_numpy = float(best["numpy"] / best["native"])
             rfft_native_speedup = float(best["rfft_compiled"] / best["rfft_native"])
+            protected_native_ratio = float(best["protected_native"] / best["native"])
         else:
             native_vs_compiled = native_vs_numpy = rfft_native_speedup = None
+            protected_native_ratio = None
         results.append(
             {
                 "n": int(n),
@@ -315,6 +358,7 @@ def run(write: bool = True) -> dict:
                 "speedup_numpy_vs_recursive": float(best["recursive"] / best["numpy"]),
                 "speedup_protected_vs_recursive": float(best["recursive"] / best["protected"]),
                 "protected_over_compiled_ratio": float(protected_ratio),
+                "protected_native_over_native_ratio": protected_native_ratio,
                 "telemetry_overhead_ratio": float(telemetry_ratio),
                 "speedup_threaded_vs_compiled": float(threaded_speedup),
                 "speedup_inplace_vs_compiled": float(inplace_speedup),
@@ -334,6 +378,7 @@ def run(write: bool = True) -> dict:
             f"{best['threaded'] * 1e3:.3f}",
             f"{best['numpy'] * 1e3:.3f}",
             f"{best['protected'] * 1e3:.3f}",
+            f"{best['protected_native'] * 1e3:.3f}" if with_native else "-",
             f"{best['rfft_compiled'] * 1e3:.3f}",
             f"{speedup:.2f}x",
             f"{native_vs_compiled:.2f}x" if with_native else "-",
@@ -341,6 +386,7 @@ def run(write: bool = True) -> dict:
             f"{inplace_speedup:.2f}x",
             f"{threaded_speedup:.2f}x",
             f"{protected_ratio:.2f}x",
+            f"{protected_native_ratio:.2f}x" if with_native else "-",
             f"{telemetry_ratio:.3f}x",
             f"{real_speedup:.2f}x",
         )
@@ -357,6 +403,7 @@ def run(write: bool = True) -> dict:
             "inplace column is the Stockham autosort program overwriting a "
             "reused buffer (half the working set of the ping-pong path); the "
             "native/rfft_native columns are the generated-C codelet tier "
+            "and protected_native the opt-online+mem+native plan over it "
             "(null when the machine has no usable C compiler); "
             "protected_traced is the protected path with event tracing "
             "enabled, so telemetry_overhead_ratio is the measured cost of "
@@ -448,15 +495,7 @@ def run_check() -> int:
     # The committed numbers themselves must honor the protection budget -
     # this is deterministic (no fresh timing involved), so a regenerated
     # reference that busts the paper's overhead claim fails every CI run.
-    budget_violations = check_protected_budget(
-        reference.get("results", []), "committed reference"
-    )
-    budget_violations += check_native_floors(
-        reference.get("results", []), "committed reference"
-    )
-    budget_violations += check_telemetry_budget(
-        reference.get("results", []), "committed reference"
-    )
+    budget_violations = absolute_violations(reference.get("results", []), "committed reference")
     if budget_violations:
         print("\nabsolute benchmark budgets FAILED (committed reference):")
         for line in budget_violations:
@@ -464,6 +503,12 @@ def run_check() -> int:
         return 1
     payload = run(write=False)  # never clobber the reference in check mode
     check(payload)
+    fresh_violations = absolute_violations(payload["results"], "fresh run")
+    if fresh_violations:
+        print("\nabsolute benchmark budgets FAILED (fresh run):")
+        for line in fresh_violations:
+            print(f"  - {line}")
+        return 1
     compared = [r["n"] for r in payload["results"]
                 if any(ref["n"] == r["n"] for ref in reference.get("results", []))]
     if not compared:
@@ -505,9 +550,7 @@ if __name__ == "__main__":
         raise SystemExit(run_check())
     payload = run()
     check(payload)
-    budget_violations = check_protected_budget(payload["results"], "fresh run")
-    budget_violations += check_native_floors(payload["results"], "fresh run")
-    budget_violations += check_telemetry_budget(payload["results"], "fresh run")
+    budget_violations = absolute_violations(payload["results"], "fresh run")
     if budget_violations:
         print("\nabsolute benchmark budgets FAILED for the regenerated numbers:")
         for line in budget_violations:

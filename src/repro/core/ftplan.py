@@ -235,22 +235,23 @@ class FTPlan:
         #: Fused protected program (tentpole of the fused execution path):
         #: protection compiled into the transform - per-stage taps, frozen
         #: verification operators - used by the fault-free single-vector
-        #: ``execute``/``inverse``.  Live injectors always take the
-        #: paper-exact scheme path.
+        #: ``execute``/``inverse``; on ``+native`` plans one generated-C
+        #: call runs the transform and its taps.  Live injectors always take
+        #: the paper-exact scheme path.
         self._fused_program = None
         if not self._real and self.backend == "fftlib":
             from repro.fftlib.executor import get_program
 
-            # Native stage bodies for the batched fault-free path (the fused
-            # protected program keeps its own pure-NumPy lowering - its
-            # interleaved verification taps have no native kernels).
             self._batch_program = get_program(self.n, native=config.native)
             if self._protected:
                 from repro.fftlib.planner import get_default_planner
                 from repro.fftlib.protected import get_protected_program
 
                 self._fused_program = get_protected_program(
-                    self.n, optimized=config.optimized, memory_ft=config.memory_ft
+                    self.n,
+                    optimized=config.optimized,
+                    memory_ft=config.memory_ft,
+                    native=config.native,
                 )
                 # MEASURE-mode planners time fused-vs-scheme once per size
                 # and remember the winner in wisdom; ESTIMATE trusts the
@@ -436,23 +437,42 @@ class FTPlan:
         return refs
 
     def _repair_memory(
-        self, x: np.ndarray, refs: _Refs, report: FTReport, site: str, index: Optional[int] = None
+        self,
+        x: np.ndarray,
+        refs: _Refs,
+        report: FTReport,
+        site: str,
+        index: Optional[int] = None,
+        rows: Optional[np.ndarray] = None,
     ) -> Optional[bool]:
         """The one input-side repair: memory-verify ``x``, fix one located element in place.
 
         ``None`` when the check passes (or the plan has no memory fault
         tolerance), ``True`` after a repair, ``False`` when the corruption
-        could not be located (recorded uncorrectable).
+        could not be located (recorded uncorrectable).  The sums are
+        recomputed with the kernel that encoded them, so their roundoff
+        cancels and a corruption near the threshold stays locatable: a
+        batch row passes its whole batch as ``rows`` (``x`` is
+        ``rows[index]``) for the batch GEMV.
         """
 
         if refs.w is None:
             return None
         w1, w2 = refs.w
-        residual = float(np.abs(weighted_sum(w1, x) - refs.s1))
+
+        def total(w: np.ndarray) -> Any:
+            if rows is None:
+                # One vector: _encode stored x @ w, the kernel np.dot runs.
+                return weighted_sum(w, x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return (rows @ w)[index]
+
+        t1 = total(w1)
+        residual = float(np.abs(t1 - refs.s1))
         if not residual_exceeds(residual, refs.eta_mem):
             return None
         report.record_verification(f"{site}-mcv", index, residual, refs.eta_mem, True)
-        repaired = repair_single_error(x, w1, w2, refs.s1, refs.s2)
+        repaired = repair_single_error(x, w1, w2, refs.s1, refs.s2, current=(t1, total(w2)))
         if repaired is None:
             report.record_uncorrectable(
                 f"{_where(site, index)}: input corruption could not be located"
@@ -971,7 +991,7 @@ class FTPlan:
             # Last-chance input verification: the rows are about to go.
             flagged = residual_exceeds(np.abs(rows @ refs.w[0] - refs.s1), refs.eta_mem)
             for idx in np.nonzero(flagged)[0]:
-                if self._repair_memory(rows[idx], refs.row(idx), report, site, int(idx)) is False:
+                if self._repair_memory(rows[idx], refs.row(idx), report, site, int(idx), rows) is False:
                     dead.append(int(idx))
             report.bump("memory-verifications", batch)
         spectra, residuals, violations = self._batch_pass(rows, injector, refs, inplace)
@@ -1090,7 +1110,7 @@ class FTPlan:
         def fix(_: object) -> bool:
             if inplace:
                 return self._repair_output(spectra[idx], refs, report, "batch-inplace-output", idx)
-            if self._repair_memory(rows[idx], refs, report, "batch", idx) is False:
+            if self._repair_memory(rows[idx], refs, report, "batch", idx, rows) is False:
                 return False
             spectra[idx] = self._transform_rows(rows[idx : idx + 1])[0]
             report.record_correction("recompute", "batch", idx, "row recomputed")
@@ -1231,19 +1251,23 @@ class FTPlan:
                 inplace = ", inplace-fallback(no Stockham lowering for this size)"
         else:
             inplace = ""
-        native = ""
-        if self.config.native:
+        route = ""
+        if self._fused_program is not None:
+            # The route fault-free execute() takes: fused, fused-native, or
+            # native-fallback(<reason>) when +native could not be lowered.
+            route = f", {self._fused_program.lowering}"
+        elif self.config.native:
             from repro.fftlib.plan import _native_program_state
 
-            native = ", native-fallback"
+            route = ", native-fallback"
             for program in (self._real_program, self._inplace_program, self._batch_program):
                 if program is None:
                     continue
                 active, reason = _native_program_state(program)
-                native = ", native" if active else f", native-fallback({reason or 'not lowered'})"
+                route = ", native" if active else f", native-fallback({reason or 'not lowered'})"
                 break
         return (
-            f"FTPlan(n={self.n} = {self.m} x {self.k}{real}{inplace}{native}, "
+            f"FTPlan(n={self.n} = {self.m} x {self.k}{real}{inplace}{route}, "
             f"scheme={self.scheme.name}, backend={self.backend}, dtype={self.dtype.name})"
         )
 

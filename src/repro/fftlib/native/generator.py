@@ -23,7 +23,15 @@ compiled :class:`~repro.fftlib.executor.StageProgram` executes -
 * two **drivers**, ``repro_execute`` (out-of-place, ping-pong work buffers)
   and ``repro_execute_into`` (the two-buffer allocation-free discipline of
   :meth:`StageProgram.execute_into`), each a single C call per transform so
-  ``ctypes`` releases the GIL exactly once per execution.
+  ``ctypes`` releases the GIL exactly once per execution;
+* the **fused protected** entry points of
+  :class:`~repro.fftlib.protected.ProtectedStageProgram`:
+  ``repro_execute_tapped`` runs ``repro_execute``'s stages on one vector,
+  each tapped stage in cache-sized tiles whose share of the stage's checksum
+  tap is reduced right after the tile is written (three running sums - the
+  weights ``omega_3^(j mod 3)`` need no table), and ``repro_fold_references`` computes the interior tap
+  references (the telescoping ``S_L`` folds contracted with ``c_L``).  Both
+  reuse the codelets above; no per-radix body is duplicated.
 
 Everything is ``complex128`` stored interleaved (the NumPy memory layout),
 all pointers are ``restrict``, and nothing allocates - buffers, twiddle
@@ -50,11 +58,11 @@ __all__ = [
 
 #: Bump on any change to the emitted C (new kernels, changed signatures,
 #: changed loop structure) - it is folded into the kernel-cache key.
-GENERATOR_VERSION = "1"
+GENERATOR_VERSION = "2"
 
 #: ABI stamp compiled into the shared object and verified at load time, so a
 #: cache entry produced by an incompatible generator can never be dispatched.
-NATIVE_ABI = 1
+NATIVE_ABI = 2
 
 #: Radices with fully unrolled straight-line butterflies.
 CODELET_RADICES = (2, 4, 8, 16, 32, 64)
@@ -155,13 +163,14 @@ def _base_codelet(r: int) -> str:
         em.stmt(f"outb[2 * (j * {r} + {t}) + 1] = {yi};")
     return f"""
 static void base_{r}(const int64_t batch, const int64_t q,
+                     const int64_t j0, const int64_t j1,
                      const double* restrict in, const int64_t in_rs,
                      double* restrict out, const int64_t out_rs)
 {{
     for (int64_t b = 0; b < batch; ++b) {{
         const double* restrict inb = in + 2 * b * in_rs;
         double* restrict outb = out + 2 * b * out_rs;
-        for (int64_t j = 0; j < q; ++j) {{
+        for (int64_t j = j0; j < j1; ++j) {{
 {_indent(em.lines, 3)}
         }}
     }}
@@ -198,6 +207,8 @@ def _combine_codelet(r: int, twiddled: bool) -> str:
     )
     return f"""
 static void combine_{r}_{suffix}(const int64_t batch, const int64_t count, const int64_t p,
+                           const int64_t c0, const int64_t c1,
+                           const int64_t u0, const int64_t u1,
                            const double* restrict in, const int64_t in_rs,{tw_param}
                            double* restrict out, const int64_t out_rs)
 {{
@@ -205,10 +216,10 @@ static void combine_{r}_{suffix}(const int64_t batch, const int64_t count, const
     for (int64_t b = 0; b < batch; ++b) {{
         const double* restrict inb = in + 2 * b * in_rs;
         double* restrict outb = out + 2 * b * out_rs;
-        for (int64_t c = 0; c < count; ++c) {{
+        for (int64_t c = c0; c < c1; ++c) {{
             const double* restrict inc = inb + 2 * c * p;
             double* restrict outc = outb + 2 * c * ({r} * p);
-            for (int64_t u = 0; u < p; ++u) {{
+            for (int64_t u = u0; u < u1; ++u) {{
 {_indent(em.lines, 4)}
             }}
         }}
@@ -234,6 +245,7 @@ _GENERIC = """
 /* Matrix-driven base kernel for orders without an unrolled codelet (small
  * primes, folded composite bases; order <= MAX_GENERIC_ORDER). */
 static void base_generic(const int64_t batch, const int64_t q, const int64_t base,
+                         const int64_t j0, const int64_t j1,
                          const double* restrict in, const int64_t in_rs,
                          const double* restrict mat,
                          double* restrict out, const int64_t out_rs)
@@ -241,7 +253,7 @@ static void base_generic(const int64_t batch, const int64_t q, const int64_t bas
     for (int64_t b = 0; b < batch; ++b) {
         const double* restrict inb = in + 2 * b * in_rs;
         double* restrict outb = out + 2 * b * out_rs;
-        for (int64_t j = 0; j < q; ++j) {
+        for (int64_t j = j0; j < j1; ++j) {
             double zr[MAX_GENERIC_ORDER];
             double zi[MAX_GENERIC_ORDER];
             for (int64_t s = 0; s < base; ++s) {
@@ -268,6 +280,8 @@ static void base_generic(const int64_t batch, const int64_t q, const int64_t bas
  * (radix <= MAX_GENERIC_ORDER; tw may be NULL for pre-twiddled input). */
 static void combine_generic(const int64_t batch, const int64_t r,
                             const int64_t count, const int64_t p,
+                            const int64_t c0, const int64_t c1,
+                            const int64_t u0, const int64_t u1,
                             const double* restrict in, const int64_t in_rs,
                             const double* restrict tw,
                             const double* restrict mat,
@@ -277,10 +291,10 @@ static void combine_generic(const int64_t batch, const int64_t r,
     for (int64_t b = 0; b < batch; ++b) {
         const double* restrict inb = in + 2 * b * in_rs;
         double* restrict outb = out + 2 * b * out_rs;
-        for (int64_t c = 0; c < count; ++c) {
+        for (int64_t c = c0; c < c1; ++c) {
             const double* restrict inc = inb + 2 * c * p;
             double* restrict outc = outb + 2 * c * (r * p);
-            for (int64_t u = 0; u < p; ++u) {
+            for (int64_t u = u0; u < u1; ++u) {
                 double zr[MAX_GENERIC_ORDER];
                 double zi[MAX_GENERIC_ORDER];
                 for (int64_t s = 0; s < r; ++s) {
@@ -346,21 +360,25 @@ static void twiddle_mult(const int64_t batch, const int64_t r,
 
 def _dispatchers() -> str:
     base_cases = "\n".join(
-        f"    case {r}: base_{r}(batch, q, in, in_rs, out, out_rs); return;"
+        f"    case {r}: base_{r}(batch, q, j0, j1, in, in_rs, out, out_rs); return;"
         for r in CODELET_RADICES
     )
     tw_cases = "\n".join(
-        f"    case {r}: combine_{r}_tw(batch, count, p, in, in_rs, tw, out, out_rs); "
+        f"    case {r}: combine_{r}_tw(batch, count, p, c0, c1, u0, u1, in, in_rs, tw, "
+        f"out, out_rs); "
         f"return;"
         for r in CODELET_RADICES
     )
     plain_cases = "\n".join(
-        f"    case {r}: combine_{r}_plain(batch, count, p, in, in_rs, out, out_rs); "
+        f"    case {r}: combine_{r}_plain(batch, count, p, c0, c1, u0, u1, in, in_rs, "
+        f"out, out_rs); "
         f"return;"
         for r in CODELET_RADICES
     )
     return f"""
+/* The base kernel over output rows [j0, j1) of q. */
 static void run_base(const int64_t batch, const int64_t q, const int64_t base,
+                     const int64_t j0, const int64_t j1,
                      const double* restrict mat,
                      const double* restrict in, const int64_t in_rs,
                      double* restrict out, const int64_t out_rs)
@@ -369,10 +387,14 @@ static void run_base(const int64_t batch, const int64_t q, const int64_t base,
 {base_cases}
     default: break;
     }}
-    base_generic(batch, q, base, in, in_rs, mat, out, out_rs);
+    base_generic(batch, q, base, j0, j1, in, in_rs, mat, out, out_rs);
 }}
 
+/* One combine stage over groups [c0, c1) of count and butterfly columns
+ * [u0, u1) of span (the full ranges run the whole stage). */
 static void run_combine(const int64_t radix, const int64_t span, const int64_t count,
+                        const int64_t c0, const int64_t c1,
+                        const int64_t u0, const int64_t u1,
                         const int64_t batch,
                         const double* restrict in, const int64_t in_rs,
                         const double* restrict tw, const double* restrict mat,
@@ -389,7 +411,7 @@ static void run_combine(const int64_t radix, const int64_t span, const int64_t c
         default: break;
         }}
     }}
-    combine_generic(batch, radix, count, p, in, in_rs, tw, mat, out, out_rs);
+    combine_generic(batch, radix, count, p, c0, c1, u0, u1, in, in_rs, tw, mat, out, out_rs);
 }}
 """
 
@@ -409,11 +431,11 @@ void repro_execute(const int64_t batch, const int64_t n, const int64_t base,
 {
     const int64_t q0 = n / base;
     if (nstages == 0) {
-        run_base(batch, q0, base, base_matrix, in, in_rs, out, out_rs);
+        run_base(batch, q0, base, 0, q0, base_matrix, in, in_rs, out, out_rs);
         return;
     }
     double* bufs[2] = { work_a, work_b };
-    run_base(batch, q0, base, base_matrix, in, in_rs, work_a, n);
+    run_base(batch, q0, base, 0, q0, base_matrix, in, in_rs, work_a, n);
     const double* cur = work_a;
     int64_t cur_rs = n;
     for (int64_t i = 0; i < nstages; ++i) {
@@ -421,10 +443,177 @@ void repro_execute(const int64_t batch, const int64_t n, const int64_t base,
         int64_t dst_rs;
         if (i == nstages - 1) { dst = out; dst_rs = out_rs; }
         else { dst = bufs[(i + 1) & 1]; dst_rs = n; }
-        run_combine(radices[i], spans[i], counts[i], batch,
+        run_combine(radices[i], spans[i], counts[i], 0, counts[i], 0, spans[i], batch,
                     cur, cur_rs, twiddles[i], matrices[i], dst, dst_rs);
         cur = dst;
         cur_rs = dst_rs;
+    }
+}
+
+/* Complex outputs per tile of the tapped driver: a tile (128 KiB) and the
+ * inputs it reads stay cache-resident while its checksum tap is reduced. */
+#define TAP_TILE 8192
+
+/* Checksum taps contract a stage's output rows with r_L = omega_3^(j mod 3).
+ * The weights cycle with period 3, so a tap is three running sums, one per
+ * residue class (acc = A0, A1, A2 as re/im pairs), combined once at the end
+ * as A0 + omega*A1 + omega^2*A2.  tap_add adds len points whose first lies
+ * in class res. */
+static void tap_add(double* restrict acc, const double* restrict x,
+                    const int64_t len, const int64_t res)
+{
+    double b0r = 0.0, b0i = 0.0, b1r = 0.0, b1i = 0.0, b2r = 0.0, b2i = 0.0;
+    int64_t k = 0;
+    for (; k + 3 <= len; k += 3) {
+        b0r += x[2 * k];
+        b0i += x[2 * k + 1];
+        b1r += x[2 * k + 2];
+        b1i += x[2 * k + 3];
+        b2r += x[2 * k + 4];
+        b2i += x[2 * k + 5];
+    }
+    if (k < len) {
+        b0r += x[2 * k];
+        b0i += x[2 * k + 1];
+    }
+    if (k + 1 < len) {
+        b1r += x[2 * k + 2];
+        b1i += x[2 * k + 3];
+    }
+    const int64_t k0 = res % 3, k1 = (res + 1) % 3, k2 = (res + 2) % 3;
+    acc[2 * k0] += b0r;
+    acc[2 * k0 + 1] += b0i;
+    acc[2 * k1] += b1r;
+    acc[2 * k1 + 1] += b1i;
+    acc[2 * k2] += b2r;
+    acc[2 * k2 + 1] += b2i;
+}
+
+static void tap_finish(const double* restrict acc, double* restrict tap)
+{
+    /* omega = -1/2 + (sqrt(3)/2) i, omega^2 = conj(omega) */
+    const double h = 0.86602540378443864676;
+    tap[0] = acc[0] - 0.5 * (acc[2] + acc[4]) - h * (acc[3] - acc[5]);
+    tap[1] = acc[1] - 0.5 * (acc[3] + acc[5]) + h * (acc[2] - acc[4]);
+}
+
+/* The base kernel in tiles of whole output rows, each tile's tap reduced
+ * right after the tile is written. */
+static void tapped_base(const int64_t n, const int64_t base, const double* restrict mat,
+                        const double* restrict in, double* restrict out,
+                        double* restrict tap)
+{
+    double acc[6] = { 0.0, 0.0, 0.0, 0.0, 0.0, 0.0 };
+    const int64_t q = n / base;
+    const int64_t jw = base < TAP_TILE ? TAP_TILE / base : 1;
+    for (int64_t j0 = 0; j0 < q; j0 += jw) {
+        const int64_t j1 = j0 + jw < q ? j0 + jw : q;
+        run_base(1, q, base, j0, j1, mat, in, n, out, n);
+        for (int64_t j = j0; j < j1; ++j) tap_add(acc, out + 2 * j * base, base, 0);
+    }
+    tap_finish(acc, tap);
+}
+
+/* One combine stage in tiles, each tile's tap reduced right after the tile
+ * is written: groups of whole output rows while a row fits in a tile, else
+ * column strips [u0, u1) of one row's r output segments. */
+static void tapped_combine(const int64_t n, const int64_t r, const int64_t p,
+                           const int64_t count,
+                           const double* restrict in, const double* restrict tw,
+                           const double* restrict mat, double* restrict out,
+                           double* restrict tap)
+{
+    double acc[6] = { 0.0, 0.0, 0.0, 0.0, 0.0, 0.0 };
+    const int64_t span = r * p;
+    if (span <= TAP_TILE) {
+        const int64_t cw = TAP_TILE / span;
+        for (int64_t c0 = 0; c0 < count; c0 += cw) {
+            const int64_t c1 = c0 + cw < count ? c0 + cw : count;
+            run_combine(r, p, count, c0, c1, 0, p, 1, in, n, tw, mat, out, n);
+            for (int64_t c = c0; c < c1; ++c) tap_add(acc, out + 2 * c * span, span, 0);
+        }
+    } else {
+        const int64_t uw = TAP_TILE / r;
+        for (int64_t c = 0; c < count; ++c) {
+            for (int64_t u0 = 0; u0 < p; u0 += uw) {
+                const int64_t u1 = u0 + uw < p ? u0 + uw : p;
+                run_combine(r, p, count, c, c + 1, u0, u1, 1, in, n, tw, mat, out, n);
+                for (int64_t t = 0; t < r; ++t)
+                    tap_add(acc, out + 2 * (c * span + t * p + u0), u1 - u0, (t * p + u0) % 3);
+            }
+        }
+    }
+    tap_finish(acc, tap);
+}
+
+/* Fused protected driver: one vector through repro_execute's stages plus
+ * its checksum taps, in one call.  With `interior` set `taps` gets one tap
+ * per stage (base kernel first, final stage last), otherwise only the
+ * end-to-end tap of `out`.  Tiling changes no arithmetic, so `out` is
+ * bit-identical to repro_execute's. */
+void repro_execute_tapped(const int64_t n, const int64_t base,
+                          const double* base_matrix, const int64_t nstages,
+                          const int64_t* restrict radices, const int64_t* restrict spans,
+                          const int64_t* restrict counts,
+                          const double* const* twiddles, const double* const* matrices,
+                          const double* in, double* out,
+                          double* work_a, double* work_b,
+                          double* taps, const int64_t interior)
+{
+    if (nstages == 0) {
+        tapped_base(n, base, base_matrix, in, out, taps);
+        return;
+    }
+    double* bufs[2] = { work_a, work_b };
+    if (interior) tapped_base(n, base, base_matrix, in, work_a, taps);
+    else run_base(1, n / base, base, 0, n / base, base_matrix, in, n, work_a, n);
+    const double* cur = work_a;
+    for (int64_t i = 0; i < nstages; ++i) {
+        double* dst = i == nstages - 1 ? out : bufs[(i + 1) & 1];
+        if (interior || i == nstages - 1)
+            tapped_combine(n, radices[i], spans[i], counts[i], cur, twiddles[i],
+                           matrices[i], dst, taps + 2 * (interior ? i + 1 : 0));
+        else
+            run_combine(radices[i], spans[i], counts[i], 0, counts[i], 0, spans[i], 1,
+                        cur, n, twiddles[i], matrices[i], dst, n);
+        cur = dst;
+    }
+}
+
+/* Interior reference checksums of a fused protected program.  Outermost
+ * first, S_L is the contiguous block-sum fold of the previous (larger) fold
+ * - of `x` itself for the first - and refs[i] = encodes[i] . S_{spans[i]}.
+ * The folds shrink in place inside `scratch` (reads of block j start at
+ * index j * k >= j, so no unread value is overwritten). */
+void repro_fold_references(const int64_t n, const int64_t ntaps,
+                           const int64_t* restrict spans,
+                           const double* const* encodes,
+                           const double* x, double* scratch, double* refs)
+{
+    const double* src = x;
+    int64_t size = n;
+    for (int64_t i = ntaps - 1; i >= 0; --i) {
+        const int64_t span = spans[i];
+        const int64_t k = size / span;
+        const double* restrict enc = encodes[i];
+        double accr = 0.0;
+        double acci = 0.0;
+        for (int64_t j = 0; j < span; ++j) {
+            double sr = 0.0;
+            double si = 0.0;
+            for (int64_t m = 0; m < k; ++m) {
+                sr += src[2 * (j * k + m)];
+                si += src[2 * (j * k + m) + 1];
+            }
+            scratch[2 * j] = sr;
+            scratch[2 * j + 1] = si;
+            accr += enc[2 * j] * sr - enc[2 * j + 1] * si;
+            acci += enc[2 * j] * si + enc[2 * j + 1] * sr;
+        }
+        refs[2 * i] = accr;
+        refs[2 * i + 1] = acci;
+        src = scratch;
+        size = span;
     }
 }
 
@@ -442,12 +631,12 @@ void repro_execute_into(const int64_t batch, const int64_t n, const int64_t base
                         double* work, const int64_t work_rs)
 {
     const int64_t q0 = n / base;
-    run_base(batch, q0, base, base_matrix, data, data_rs, work, work_rs);
+    run_base(batch, q0, base, 0, q0, base_matrix, data, data_rs, work, work_rs);
     int64_t i = 0;
     if (nstages & 1) {
         twiddle_mult(batch, radices[0], counts[0], spans[0],
                      work, work_rs, twiddles[0], data, data_rs);
-        run_combine(radices[0], spans[0], counts[0], batch,
+        run_combine(radices[0], spans[0], counts[0], 0, counts[0], 0, spans[0], batch,
                     data, data_rs, (const double*)0, matrices[0], work, work_rs);
         i = 1;
     }
@@ -456,7 +645,7 @@ void repro_execute_into(const int64_t batch, const int64_t n, const int64_t base
     for (; i < nstages; ++i) {
         double* dst = (cur == work) ? data : work;
         const int64_t dst_rs = (cur == work) ? data_rs : work_rs;
-        run_combine(radices[i], spans[i], counts[i], batch,
+        run_combine(radices[i], spans[i], counts[i], 0, counts[i], 0, spans[i], batch,
                     cur, cur_rs, twiddles[i], matrices[i], dst, dst_rs);
         cur = dst;
         cur_rs = dst_rs;

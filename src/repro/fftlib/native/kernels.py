@@ -18,6 +18,9 @@ exposes the capability gate the rest of the stack (and the reprolint
   arrays, so each transform afterwards is a *single* foreign call - and
   ctypes drops the GIL for the call's duration, which is what makes the
   threaded six-step and chunk-parallel ``execute_many`` actually concurrent.
+* :meth:`NativeProgram.execute_tapped` and :class:`NativeFolds` - the
+  fused protected program's single-call transform-plus-taps and its
+  interior reference folds (see :mod:`repro.fftlib.protected`).
 * :func:`native_info` - ``cache_info()``-style counters: compiles, disk
   hits, failures, programs built, fallbacks, and the current status/reason.
 
@@ -49,7 +52,9 @@ __all__ = [
     "native_unavailable_reason",
     "get_native_kernels",
     "NativeProgram",
+    "NativeFolds",
     "build_native_program",
+    "build_native_folds",
     "native_info",
     "reset_native_state",
 ]
@@ -112,6 +117,22 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
             _cvp, _cvp,
             _cvp, _c64,                  # data, data_rs
             _cvp, _c64,                  # work, work_rs
+        ]
+        lib.repro_execute_tapped.restype = None
+        lib.repro_execute_tapped.argtypes = [
+            _c64, _c64,                  # n, base
+            _cvp, _c64,                  # base_matrix, nstages
+            _cvp, _cvp, _cvp,            # radices, spans, counts
+            _cvp, _cvp,                  # twiddles**, matrices**
+            _cvp, _cvp,                  # in, out
+            _cvp, _cvp,                  # work_a, work_b
+            _cvp, _c64,                  # taps, interior
+        ]
+        lib.repro_fold_references.restype = None
+        lib.repro_fold_references.argtypes = [
+            _c64, _c64,                  # n, ntaps
+            _cvp, _cvp,                  # spans, encodes**
+            _cvp, _cvp, _cvp,            # x, scratch, refs
         ]
         _bound_libs.add(key)
     return lib
@@ -259,6 +280,40 @@ class NativeProgram:
         )
         return out
 
+    def execute_tapped(
+        self,
+        x: np.ndarray,
+        out: np.ndarray,
+        work_a: Optional[np.ndarray],
+        work_b: Optional[np.ndarray],
+        taps: np.ndarray,
+        interior: bool,
+    ) -> np.ndarray:
+        """One contiguous vector out-of-place plus its checksum taps; one foreign call.
+
+        ``taps`` receives one tap per stage (base kernel first) when
+        ``interior`` is set, else only the end-to-end tap ``r . out``.
+        """
+
+        self._lib.repro_execute_tapped(
+            self.n,
+            self.base,
+            self._base_matrix_ptr,
+            self.nstages,
+            self._radices.ctypes.data,
+            self._spans.ctypes.data,
+            self._counts.ctypes.data,
+            ctypes.addressof(self._tw_ptrs),
+            ctypes.addressof(self._mat_ptrs),
+            x.ctypes.data,
+            out.ctypes.data,
+            work_a.ctypes.data if work_a is not None else 0,
+            work_b.ctypes.data if work_b is not None else 0,
+            taps.ctypes.data,
+            int(interior),
+        )
+        return out
+
     def execute_into(self, data: np.ndarray, work: np.ndarray) -> np.ndarray:
         """Two-buffer transform (clobbers ``data``, result in ``work``)."""
 
@@ -279,6 +334,50 @@ class NativeProgram:
             self._row_stride(work),
         )
         return work
+
+
+class NativeFolds:
+    """The marshalled interior reference folds of one fused protected program.
+
+    Holds the spans and the addresses of the interior taps' frozen ``c_L``
+    encodings (``_refs`` pins the arrays); :meth:`encode` is one foreign
+    call.
+    """
+
+    __slots__ = ("n", "count", "_lib", "_spans", "_encode_ptrs", "_refs")
+
+    def __init__(self, lib: ctypes.CDLL, n: int, spans: Any, encodes: Any) -> None:
+        self._lib = lib
+        self.n = int(n)
+        self.count = len(spans)
+        self._spans = np.array(spans, dtype=np.int64)
+        # Already conforming for frozen tap encodings: no copy is made.
+        self._refs = tuple(np.ascontiguousarray(e, dtype=np.complex128) for e in encodes)
+        self._encode_ptrs = (_cvp * max(self.count, 1))(
+            *([e.ctypes.data for e in self._refs] or [0])
+        )
+
+    def encode(self, x: np.ndarray, scratch: np.ndarray, refs: np.ndarray) -> np.ndarray:
+        """``refs[i] = c_i . S_i`` for every interior tap (``x`` contiguous, untouched)."""
+
+        self._lib.repro_fold_references(
+            self.n,
+            self.count,
+            self._spans.ctypes.data,
+            ctypes.addressof(self._encode_ptrs),
+            x.ctypes.data,
+            scratch.ctypes.data,
+            refs.ctypes.data,
+        )
+        return refs
+
+
+def build_native_folds(n: int, spans: Any, encodes: Any) -> Optional[NativeFolds]:
+    """:class:`NativeFolds` for the given interior taps, or ``None`` off-tier."""
+
+    if not native_supported():
+        return None
+    return NativeFolds(get_native_kernels(), n, spans, encodes)
 
 
 def _program_obstacle(program: Any) -> Optional[str]:

@@ -37,12 +37,26 @@ what the legacy scheme computes.  The transform loop itself replicates
 is bit-identical to the unprotected compiled transform.  Live fault
 injectors never reach this module - ``FTPlan`` routes them through the
 paper-exact scheme path - so detection/correction coverage is untouched.
+
+**Native lowering.**  ``get_protected_program(n, ..., native=True)`` (what a
+``+native`` plan asks for) wraps the native-tier ``StageProgram`` and shares
+every operator of the pure program - the same frozen taps, ``w1`` and
+``w2``.  :meth:`~ProtectedStageProgram.execute_tapped` is then one
+GIL-released foreign call returning the spectrum (bit-identical to the
+native unprotected transform) and the tap vector, each tap reduced in C
+right after its stage writes it; :meth:`~ProtectedStageProgram.encode`
+folds the interior references in C too.  ``refs[-1]`` stays the NumPy
+``c . x``, so the end-to-end reference, the memory re-check and every
+threshold are unchanged.  Where the tier cannot serve the size (no
+compiler, ``REPRO_NO_NATIVE=1``, a Bluestein base, a radix past the generic
+bound) the program silently keeps the pure-NumPy body and
+:meth:`~ProtectedStageProgram.describe` names the reason.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Tuple
 
 import numpy as np
 
@@ -127,6 +141,11 @@ class ProtectedStageProgram:
         True when ``w1`` *is* the end-to-end encoding ``c`` (the modified
         weights of the optimized scheme), so ``s1`` equals the input
         checksum bit-for-bit and need not be recomputed.
+    folds:
+        The native interior reference folds (a
+        :class:`~repro.fftlib.native.kernels.NativeFolds`) of a native
+        lowering with interior taps, else ``None``.  The native transform
+        itself is ``program.native``.
     """
 
     n: int
@@ -138,6 +157,7 @@ class ProtectedStageProgram:
     w2: "np.ndarray | None"
     w1_rms: float
     reuse_input_checksum: bool
+    folds: Any = None
 
     # ------------------------------------------------------------------
     @property
@@ -228,6 +248,35 @@ class ProtectedStageProgram:
             reuse_input_checksum=w1 is c_n,
         )
 
+    @property
+    def lowering(self) -> str:
+        """What executes: ``fused-native``, ``fused``, or ``native-fallback(<reason>)``."""
+
+        if self.program.native is not None:
+            return "fused-native"
+        reason = self.program.native_fallback_reason
+        return "fused" if reason is None else f"native-fallback({reason})"
+
+    def with_native(self) -> "ProtectedStageProgram":
+        """This program over the native-tier stage program, sharing every operator.
+
+        Adds no ``n``-sized array: the taps, ``w1`` and ``w2`` are this
+        program's own, and the native transform is the cached
+        ``get_program(n, native=True)``.  Where the tier cannot serve the
+        size, the result runs the pure-NumPy body and reports why.
+        """
+
+        program = get_program(self.n, native=True)
+        folds = None
+        interior = self.taps[:-1]
+        if program.native is not None and interior:
+            from repro.fftlib.native.kernels import build_native_folds
+
+            folds = build_native_folds(
+                self.n, [tap.span for tap in interior], [tap.encode for tap in interior]
+            )
+        return replace(self, program=program, folds=folds)
+
     # ------------------------------------------------------------------
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Reference checksums for every tap, via the telescoping fold.
@@ -236,17 +285,29 @@ class ProtectedStageProgram:
         computed outermost-first from ``S_n = x`` itself, so the whole chain
         costs about ``2n`` complex operations.  ``refs[-1]`` is the
         end-to-end input checksum ``c . x``, bit-identical to the legacy
-        scheme's (same ``np.dot`` on the same operands).
+        scheme's (same ``np.dot`` on the same operands).  A native lowering
+        computes the interior folds in one C call (same sums, summed in a
+        different order, so they agree to roundoff).
         """
 
         taps = self.taps
         # reprolint: alloc-ok - O(stages) reference vector, not O(n)
         refs = np.empty(len(taps), dtype=np.complex128)
         s = np.asarray(x, dtype=np.complex128).reshape(-1)
+        folds = self.folds
         # Same np.dot / suppressed-overflow contract as weighted_sum, one
         # errstate entry for the whole chain (tap shapes are guaranteed by
         # construction).
         with np.errstate(over="ignore", invalid="ignore"):
+            if folds is not None:
+                if not s.flags.c_contiguous:
+                    # reprolint: alloc-ok - normalisation fallback, never
+                    # taken for conforming (contiguous) callers
+                    s = np.ascontiguousarray(s)
+                # The fold shrinks inside one thread-local scratch buffer.
+                folds.encode(s, _work_buffers(s.size)[1], refs)
+                refs[-1] = np.dot(taps[-1].encode, s)
+                return refs
             for i in range(len(taps) - 1, -1, -1):
                 tap = taps[i]
                 if tap.span != s.size:
@@ -262,21 +323,32 @@ class ProtectedStageProgram:
         (same scratch, same kernel calls, same write order) so the returned
         spectrum is bit-identical to the unprotected compiled transform;
         between stages each tap sums the just-written combine output rows
-        (a cache-warm row read) and contracts them with ``r_L``.
+        (a cache-warm row read) and contracts them with ``r_L``.  A native
+        lowering does all of it in one foreign call (bit-identical to the
+        native unprotected transform; taps equal to roundoff).
         """
 
         prog = self.program
         n = prog.n
         xs = x.reshape(1, n)
-        if not xs.flags.c_contiguous:
+        if not xs.flags.c_contiguous or xs.dtype != np.complex128:
             # reprolint: alloc-ok - normalisation fallback, never taken for
-            # conforming (contiguous) callers
-            xs = np.ascontiguousarray(xs)
+            # conforming (contiguous complex) callers
+            xs = np.ascontiguousarray(xs, dtype=np.complex128)
         # reprolint: alloc-ok - O(stages) tap vector, not O(n)
         taps_out = np.empty(len(self.taps), dtype=np.complex128)
         # Small sizes carry only the final (end-to-end) tap; see
         # _INTERIOR_TAP_MIN.
         interior = len(self.taps) > 1
+
+        native = prog.native
+        if native is not None:
+            # reprolint: alloc-ok - the result array itself (out-of-place
+            # contract, mirrors StageProgram.execute)
+            out = np.empty(n, dtype=np.complex128)
+            work_a, work_b = _work_buffers(n) if prog.stages else (None, None)
+            native.execute_tapped(xs, out, work_a, work_b, taps_out, interior)
+            return out, taps_out
 
         if not prog.stages:
             # Whole transform handled by the base kernel; the only tap is
@@ -344,16 +416,27 @@ class ProtectedStageProgram:
 
         spans = ",".join(str(tap.span) for tap in self.taps)
         return (
-            f"ProtectedStageProgram(n={self.n}, taps=[{spans}], "
+            f"ProtectedStageProgram(n={self.n}, {self.lowering}, taps=[{spans}], "
             f"optimized={self.optimized}, memory_ft={self.memory_ft}, "
             f"inner={self.program.describe()})"
         )
 
 
-def get_protected_program(n: int, *, optimized: bool, memory_ft: bool) -> ProtectedStageProgram:
-    """Fused protected program for ``n``, from the shared program LRU."""
+def get_protected_program(
+    n: int, *, optimized: bool, memory_ft: bool, native: bool = False
+) -> ProtectedStageProgram:
+    """Fused protected program for ``n``, from the shared program LRU.
+
+    ``native=True`` returns the native lowering (a separate cache entry
+    built from the pure program, see :meth:`ProtectedStageProgram.with_native`).
+    """
 
     key = ("protected", int(n), bool(optimized), bool(memory_ft))
+    if native:
+        return _cached_program(
+            ("native", key),
+            lambda: get_protected_program(n, optimized=optimized, memory_ft=memory_ft).with_native(),
+        )
     return _cached_program(
         key, lambda: ProtectedStageProgram.build(n, optimized=optimized, memory_ft=memory_ft)
     )

@@ -175,3 +175,41 @@ def test_batch_recovery_never_calls_the_scheme(site, real, threads):
     assert result.corrected and not result.uncorrectable
     assert result.uncorrectable_rows == ()
     assert np.allclose(result.output, reference)
+
+
+class TestBatchNearThresholdLocation:
+    """Batch input faults a few times the end-to-end threshold.
+
+    The locating sums of a batch row are recomputed with the batch GEMV that
+    stored them, so their roundoff cancels and a single small corruption is
+    located and repaired; two corrupted elements in one row stay flagged.
+    """
+
+    n = 4096
+    rows = 8
+
+    def _run(self, seed, elements, magnitude):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1, 1, (self.rows, self.n)) + 1j * rng.uniform(-1, 1, (self.rows, self.n))
+        row = int(rng.integers(self.rows))
+        injector = FaultInjector()
+        for element in rng.choice(self.n, elements, replace=False):
+            injector.arm_computational(
+                FaultSite.INPUT, element=row * self.n + int(element), magnitude=magnitude
+            )
+        result = FTPlan(self.n).execute_many(X.copy(), injector=injector)
+        return result, row, np.fft.fft(X, axis=-1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_single_fault_is_corrected(self, seed):
+        result, row, expected = self._run(seed, 1, 3e-8)
+        assert result.fallback_rows == (row,)
+        assert result.uncorrectable_rows == ()
+        assert "memory-correct" in [c.kind for c in result.report.corrections]
+        assert np.allclose(result.output, expected, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("magnitude", [3e-8, 1e-4, 1.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_corrupted_elements_are_flagged(self, seed, magnitude):
+        result, row, _ = self._run(seed, 2, magnitude)
+        assert result.uncorrectable_rows == (row,)

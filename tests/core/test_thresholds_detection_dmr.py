@@ -11,6 +11,7 @@ from repro.core.thresholds import (
     RoundoffModel,
     ThresholdMode,
     ThresholdPolicy,
+    _median_rows_finite,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSite
@@ -67,6 +68,24 @@ class TestRoundoffModel:
 
     def test_mantissa_constant(self):
         assert MANTISSA_BITS_DOUBLE == 52
+
+
+class TestRowMedian:
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 1023, 1024])
+    def test_bitwise_equal_to_np_median(self, width):
+        rng = np.random.default_rng(width)
+        sample = np.abs(rng.standard_normal((16, width)) + 1j * rng.standard_normal((16, width)))
+        sample[3, : width // 2] = 0.25  # ties around the centre
+        expected = np.median(sample, axis=1)
+        assert np.array_equal(_median_rows_finite(sample), expected)
+
+    def test_batch_sigma_matches_scalar_sigma(self):
+        policy = ThresholdPolicy()
+        rng = np.random.default_rng(5)
+        for n in (1000, 1001, 4096):
+            rows = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+            batch = policy.component_sigma_rows(rows)
+            assert np.array_equal(batch, [policy.component_sigma(row) for row in rows])
 
 
 class TestThresholdPolicy:
